@@ -40,7 +40,8 @@ def enumerate_top(r: RoundCounter) -> list:
     def rec(counts):
         live = tuple(p for p in supp if counts.get(p, 0) > 0)
         if not live:
-            tops.append(WitnessTable([(supp, ())] + [(s, ()) for s in layers]))
+            # sorted nonempty layers: a witness structure by construction
+            tops.append(WitnessTable._trusted(((supp, ()),) + tuple((s, ()) for s in layers), witness.WITNESS))
             return
         for step in _subsets(live):
             for p in step:

@@ -1,7 +1,7 @@
 """Counting top simplices: recursions and the bivariate generating function.
 
 ``f_dim1`` counts the edges of the two-process complexes (the Delannoy
-recursion); ``f_top`` counts top simplices for any number of processes via
+numbers); ``f_top`` counts top simplices for any number of processes via
 the first-concurrency-class recursion.  Both are cross-checked elsewhere
 against brute-force execution enumeration.
 """
@@ -10,18 +10,23 @@ from __future__ import annotations
 
 from typing import Iterable
 
-_F1: dict = {}
 _FTOP: dict = {}
 
 
 def f_dim1(m: int, n: int) -> int:
-    """Edge count of the two-process complex: f(m,n-1)+f(m-1,n)+f(m-1,n-1)."""
-    if m == 0 or n == 0:
-        return 1
-    key = (m, n)
-    if key not in _F1:
-        _F1[key] = f_dim1(m, n - 1) + f_dim1(m - 1, n) + f_dim1(m - 1, n - 1)
-    return _F1[key]
+    """Edge count of the two-process complex, the Delannoy number D(m, n).
+
+    It solves f(m,n) = f(m,n-1)+f(m-1,n)+f(m-1,n-1) with f = 1 on the axes.
+    The closed form sum_k C(m,k) C(n,k) 2^k needs no recursion or memo; each
+    term is the previous one times 2(m-k)(n-k)/(k+1)^2, an exact division.
+    """
+    if m < 0 or n < 0:
+        raise ValueError("round counts must be nonnegative")
+    term = total = 1
+    for k in range(min(m, n)):
+        term = term * 2 * (m - k) * (n - k) // ((k + 1) * (k + 1))
+        total += term
+    return total
 
 
 def f_top(values: Iterable[int]) -> int:
@@ -30,9 +35,10 @@ def f_top(values: Iterable[int]) -> int:
     Zero entries never participate and are dropped; the count is symmetric
     in its arguments, so memoization keys on the sorted positive multiset.
     """
-    key = tuple(sorted(v for v in values if v > 0))
+    values = tuple(values)
     if any(v < 0 for v in values):
         raise ValueError("round counts must be nonnegative")
+    key = tuple(sorted(v for v in values if v > 0))
     return _f_top_sorted(key)
 
 

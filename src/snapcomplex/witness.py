@@ -18,6 +18,9 @@ exact round-trip translation.  The three operators are the canonical form C
 layer), the stabilization st_S (ghost the set S and truncate the traces at
 the last layer that still witnesses something outside S and the ghosts), and
 ghosting Gamma_S = C . st_S, the face operator of the snapshot complexes.
+The operators work directly on the table layers, not through the trace form,
+and build their results with the trusted constructor: they are valid by
+construction.  Every other table is validated.
 
 Everything here is an immutable value; operations return new objects.
 """
@@ -105,6 +108,17 @@ class WitnessTable:
         self.pairs = pairs
         self.classification = cls.kind
 
+    @classmethod
+    def _trusted(cls, pairs: tuple, kind: str) -> "WitnessTable":
+        """Skip validation for pairs that are normalized, valid and of class
+        ``kind`` by construction.  Only the face operators here and
+        ``complexes.enumerate_top`` use it; every other input goes through
+        the validating constructor."""
+        self = cls.__new__(cls)
+        self.pairs = pairs
+        self.classification = kind
+        return self
+
     def __eq__(self, other) -> bool:
         return isinstance(other, WitnessTable) and self.pairs == other.pairs
 
@@ -171,10 +185,6 @@ class WitnessTable:
 
     def m_count(self, p: int) -> int:
         return len(self.traces[p])
-
-    def last(self, p: int) -> int:
-        """Largest layer index whose W part contains p."""
-        return max(i for i in range(self.t + 1) if p in self.w(i))
 
     @property
     def is_stable(self) -> bool:
@@ -294,40 +304,51 @@ def canonical_form(sigma: WitnessTable) -> WitnessTable:
     """Drop layers with empty W part, merging their ghosts into the next kept layer."""
     if not sigma.is_stable:
         raise PreconditionViolation("canonical form is only defined for stable prestructures")
-    if sigma.t == 0:
+    if sigma.is_witness:
         return sigma
-    kept = [i for i in range(1, sigma.t + 1) if sigma.pairs[i][0]]
     pairs = [sigma.pairs[0]]
-    prev = 0
-    for i in kept:
-        merged = set()
-        for j in range(prev + 1, i + 1):
-            merged.update(sigma.pairs[j][1])
-        pairs.append((sigma.pairs[i][0], merged))
-        prev = i
-    return WitnessTable(pairs)
+    carried = ()
+    for w, g in sigma.pairs[1:]:
+        carried += g
+        if w:
+            # ghost layers are pairwise disjoint (P2), so a sort merges them
+            pairs.append((w, tuple(sorted(carried))))
+            carried = ()
+    return WitnessTable._trusted(tuple(pairs), WITNESS)
 
 
 def stabilize(sigma: WitnessTable, ghosted: Iterable[int]) -> WitnessTable:
     """Ghost the set, truncating traces at the last layer not swallowed by it.
 
-    The truncation index is the largest i with R_i not contained in the new
-    ghost set; when every layer is swallowed (the whole active set is
-    ghosted) the result is the empty structure on the same support.
+    The cut is the largest i whose W part is not contained in the new ghost
+    set; layers after it are dropped, and each swallowed process moves from
+    W to G at its last surviving layer.  When every layer is swallowed (the
+    whole active set is ghosted) the result is the empty structure on the
+    same support.
     """
     s = frozenset(ghosted)
     if not s <= sigma.active_set:
         raise PreconditionViolation(f"cannot stabilize by {sorted(s)}: not a subset of the active set")
     swallowed = s | sigma.ghost_set
-    cut = -1
-    for i in range(sigma.t, -1, -1):
-        if not sigma.r_set(i) <= swallowed:
-            cut = i
-            break
+    layers = sigma.pairs
+    cut = len(layers) - 1
+    while cut >= 0 and swallowed.issuperset(layers[cut][0]):
+        cut -= 1
     if cut < 0:
-        return WitnessTable((((), tuple(sorted(sigma.supp))),))
-    traces = {p: {i for i in ix if i <= cut} for p, ix in sigma.traces.items()}
-    return from_trace(trace_form(sigma.active_set - s, swallowed, traces))
+        return WitnessTable._trusted((((), tuple(sorted(sigma.supp))),), WITNESS)
+    out = []
+    later = set()
+    for w, g in reversed(layers[: cut + 1]):
+        move = [p for p in w if p in swallowed and p not in later]
+        if move:
+            out.append((tuple(p for p in w if p not in move), tuple(sorted(g + tuple(move)))))
+        else:
+            out.append((w, g))
+        later.update(w, g)
+    out.reverse()
+    # the cut layer keeps a witnessed process, so the result is at least stable
+    kind = WITNESS if all(w for w, _ in out[1:]) else STABLE
+    return WitnessTable._trusted(tuple(out), kind)
 
 
 def ghost(sigma: WitnessTable, ghosted: Iterable[int]) -> WitnessTable:

@@ -1,16 +1,17 @@
 """Shared corpus generators and independent oracles for the test suite.
 
 The oracles deliberately re-derive results along different routes than the
-library: stabilization via the per-layer move-set table instead of trace
-truncation, canonical form via a single forward-merging pass, executions via
-unpruned sequence filtering.
+library: stabilization via the per-layer move-set table and via trace
+truncation, canonical form via a single forward-merging pass and via the
+kept-layer index list, executions via unpruned sequence filtering.  Every
+oracle builds its result with the validating ``WitnessTable`` constructor.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from snapcomplex import RoundCounter, WitnessTable
+from snapcomplex import RoundCounter, WitnessTable, from_trace, trace_form
 
 # ---------------------------------------------------------------------------
 # Counter corpora
@@ -134,6 +135,39 @@ def canonical_oracle(sigma: WitnessTable) -> WitnessTable:
 
 def ghost_oracle(sigma: WitnessTable, ghosted) -> WitnessTable:
     return canonical_oracle(stabilize_via_table(sigma, ghosted))
+
+
+def stabilize_via_trace(sigma: WitnessTable, ghosted) -> WitnessTable:
+    """Trace route: truncate every trace at the cut, then rebuild the table."""
+    s = frozenset(ghosted)
+    assert s <= sigma.active_set
+    swallowed = s | sigma.ghost_set
+    cut = -1
+    for i in range(sigma.t, -1, -1):
+        if not sigma.r_set(i) <= swallowed:
+            cut = i
+            break
+    if cut < 0:
+        return WitnessTable((((), tuple(sorted(sigma.supp))),))
+    traces = {p: {i for i in ix if i <= cut} for p, ix in sigma.traces.items()}
+    return from_trace(trace_form(sigma.active_set - s, swallowed, traces))
+
+
+def canonical_via_kept_layers(sigma: WitnessTable) -> WitnessTable:
+    """Kept-index route: list the nonempty W layers, merge the ghosts between them."""
+    assert sigma.is_stable
+    if sigma.t == 0:
+        return sigma
+    kept = [i for i in range(1, sigma.t + 1) if sigma.pairs[i][0]]
+    pairs = [sigma.pairs[0]]
+    prev = 0
+    for i in kept:
+        merged = set()
+        for j in range(prev + 1, i + 1):
+            merged.update(sigma.pairs[j][1])
+        pairs.append((sigma.pairs[i][0], merged))
+        prev = i
+    return WitnessTable(pairs)
 
 
 def m_count_brute(sigma: WitnessTable, p: int) -> int:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from snapcomplex.cli import main
 
@@ -13,6 +17,20 @@ def test_count_output(capsys):
     code, out, _ = run(capsys, "count", "--counter", "1,1,1")
     assert code == 0
     assert out == "recursion=13 enumeration=13 ok\n"
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "snapcomplex.cli", "count", "--counter", "1,1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "recursion=3 enumeration=3 ok\n"
 
 
 def test_verify_small_counter_passes(capsys):

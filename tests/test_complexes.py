@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations
 
@@ -23,6 +24,7 @@ from snapcomplex import (
 )
 from snapcomplex.complexes import expected_endpoint, has_face
 from snapcomplex.errors import PreconditionViolation
+from snapcomplex.topology import collapse_to_point
 from tests.helpers import enumerate_top_brute, m_count_brute
 
 
@@ -218,3 +220,29 @@ def test_exports():
     assert dot.startswith("graph dual {")
     assert dot.count(" -- ") == 2
     assert dot.count("boundary=true") == 2
+
+
+# sha256 of the exported bytes; a witness kernel that reorders a layer or a
+# ghost set changes them even when the complex stays the same
+EXPORT_SHA256 = {
+    ("1,1,1", "json"): "ff943fe339673fcdb1f6ba923365f3917c1b3a11a4b5c1d6ec1dffbd787b903e",
+    ("1,1,1", "dot"): "a24af93d4861adf29bce3cefcb1fd54cab0c3392bd8756f731ad3dd869583b29",
+    ("1,1,1", "collapse"): "0e4557122c8d387f1debae52dea4a4aa4584e7853df55794eea38ee21ea09f06",
+    ("2,1", "json"): "4cff795d157f464ccceea46d9a63b6124885d5eb4ef2859cddc30b7bce0a8cef",
+    ("2,1", "dot"): "fe72e32a2284e35776588c3908aae64b22376236712f18d3e282f25b1d738ed8",
+    ("2,1", "collapse"): "9f28cd9cf65b207b73862b3e2040ac88de13d0bcd6b7bf6f23b1f2c39ced2409",
+}
+
+
+def test_export_bytes_pinned():
+    for counter in ("1,1,1", "2,1"):
+        r = RoundCounter.parse(counter)
+        k = build(r)
+        texts = {
+            "json": complex_to_json(k),
+            "dot": complex_to_dot(k),
+            "collapse": collapse_to_point(r).to_json(),
+        }
+        for name, text in texts.items():
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert digest == EXPORT_SHA256[counter, name], (counter, name)

@@ -1,6 +1,8 @@
 import random
 from itertools import permutations
 
+import pytest
+
 from snapcomplex import RoundCounter, enumerate_top, f_dim1, f_top, series_check
 from snapcomplex.counting import series_coefficients
 from tests.helpers import counters_with
@@ -26,6 +28,30 @@ def test_f_top_pinned_values():
     assert f_top([1, 1, 2]) == 31
     assert f_top([2, 2, 2]) == 409
     assert f_top([1, 1, 1, 1]) == 75
+
+
+def test_f_top_rejects_negative_counts_from_a_generator():
+    with pytest.raises(ValueError):
+        f_top(v for v in [-1, 2])
+    assert f_top(v for v in [1, 1, 1]) == 13
+
+
+def test_f_dim1_closed_form_equals_recurrence():
+    rec = {}
+    for m in range(13):
+        for n in range(13):
+            if m == 0 or n == 0:
+                rec[m, n] = 1
+            else:
+                rec[m, n] = rec[m, n - 1] + rec[m - 1, n] + rec[m - 1, n - 1]
+            assert f_dim1(m, n) == rec[m, n]
+    with pytest.raises(ValueError):
+        f_dim1(-1, 3)
+
+
+def test_f_dim1_large_arguments_return():
+    big = f_dim1(2000, 2000)
+    assert big == f_dim1(2000, 1999) + f_dim1(1999, 2000) + f_dim1(1999, 1999)
 
 
 def test_f_top_symmetry_and_zero_dropping():

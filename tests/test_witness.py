@@ -19,11 +19,14 @@ from snapcomplex import (
     trace_form,
 )
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
+from snapcomplex.witness import _normalize_pairs
 from tests.helpers import (
     all_prestructures,
     canonical_oracle,
+    canonical_via_kept_layers,
     ghost_oracle,
     stabilize_via_table,
+    stabilize_via_trace,
 )
 
 # the three worked tables reproduced from the figures
@@ -186,6 +189,27 @@ def test_canonical_stabilize_law():
         for s in subsets(sigma.active_set):
             lhs = canonical_form(stabilize(canonical_form(sigma), s))
             assert lhs == canonical_form(stabilize(sigma, s))
+
+
+def test_layer_kernel_matches_trace_route_exhaustive():
+    """The operators work on the layers and skip validation; every result must
+    equal the validated trace and table routes, pairs and class both."""
+
+    def check(got, *routes):
+        assert got.classification == classify(got.pairs).kind
+        assert got.pairs == _normalize_pairs(got.pairs)
+        for want in routes:
+            assert got.pairs == want.pairs
+            assert got.classification == want.classification
+
+    for sigma in all_prestructures(universe=(0, 1, 2), max_t=3):
+        if sigma.is_stable:
+            check(canonical_form(sigma), canonical_via_kept_layers(sigma), canonical_oracle(sigma))
+        for s in subsets(sigma.active_set):
+            by_trace, by_table = stabilize_via_trace(sigma, s), stabilize_via_table(sigma, s)
+            check(stabilize(sigma, s), by_trace, by_table)
+            if sigma.is_witness:
+                check(ghost(sigma, s), canonical_via_kept_layers(by_trace), canonical_oracle(by_table))
 
 
 def test_ghost_golden_and_trivial():
