@@ -16,7 +16,6 @@ from .witness import (
     classify,
     classify_trace,
     complete,
-    derived,
     from_trace,
     ghost,
     ghost_one,

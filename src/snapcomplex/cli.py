@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .errors import CollapseStuck, InvalidArgument, PreconditionViolation
 from .rounds import RoundCounter
@@ -62,26 +63,26 @@ def _emit(records, fmt):
             print(f"{rec.check}: {status} ({rec.params}){tail}")
 
 
-def _structural(r):
-    return complexes.structural_checks(complexes.build(r))
+# structural check -> the StructureReport fields that must all hold
+STRUCTURAL_FIELDS = {
+    "pure": ("pure",),
+    "pseudo": ("pseudomanifold", "boundary_matches"),
+    "connected": ("strongly_connected",),
+    "reconstruction": ("reconstruction_injective",),
+}
+
+
+@lru_cache(maxsize=1)
+def _structure(k):
+    return complexes.structural_checks(k)
 
 
 def _run_check(name: str, r: RoundCounter) -> CheckRecord:
     k = complexes.build(r)
-    if name == "pure":
-        rep = _structural(r)
-        return CheckRecord("pure", r.text(), rep.pure, None if rep.pure else rep.counterexample)
-    if name == "pseudo":
-        rep = _structural(r)
-        ok = rep.pseudomanifold and rep.boundary_matches
-        return CheckRecord("pseudo", r.text(), ok, None if ok else rep.counterexample)
-    if name == "connected":
-        rep = _structural(r)
-        return CheckRecord("connected", r.text(), rep.strongly_connected, None if rep.strongly_connected else rep.counterexample)
-    if name == "reconstruction":
-        rep = _structural(r)
-        ok = rep.reconstruction_injective
-        return CheckRecord("reconstruction", r.text(), ok, None if ok else rep.counterexample)
+    if name in STRUCTURAL_FIELDS:
+        rep = _structure(k)
+        ok = all(getattr(rep, field) for field in STRUCTURAL_FIELDS[name])
+        return CheckRecord(name, r.text(), ok, None if ok else rep.counterexample)
     if name == "incidence":
         rep = decomposition.verify_incidence(r)
         bad = rep.first_failure

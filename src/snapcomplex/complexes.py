@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import PreconditionViolation
@@ -91,13 +92,9 @@ class Complex:
         return sum((-1) ** d * n for d, n in zip(range(-1, self.dim + 1), self.f_vector) if d >= 0)
 
 
-_BUILD_CACHE: dict = {}
-
-
-def build(r: RoundCounter, cache: bool = True) -> Complex:
+@lru_cache(maxsize=128)
+def build(r: RoundCounter) -> Complex:
     """Downward closure of the executions under single-element ghosting."""
-    if cache and r in _BUILD_CACHE:
-        return _BUILD_CACHE[r]
     tops = sorted(enumerate_top(r), key=lambda s: s.pairs)
     facets = {}
     queue = list(tops)
@@ -119,10 +116,7 @@ def build(r: RoundCounter, cache: bool = True) -> Complex:
         for tau in faces:
             cofacets[tau].append(sigma)
     cofacets = {s: tuple(sorted(cof, key=lambda x: x.pairs)) for s, cof in cofacets.items()}
-    k = Complex(r, simplices, tuple(tops), facets, cofacets)
-    if cache:
-        _BUILD_CACHE[r] = k
-    return k
+    return Complex(r, simplices, tuple(tops), facets, cofacets)
 
 
 def vertices(sigma: WitnessTable) -> frozenset:

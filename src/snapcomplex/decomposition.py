@@ -14,11 +14,17 @@ Simplices with a single layer carry no layer-1 data; they are placed in the
 Z part exactly when S is ghosted at round 0, which is the unique reading
 that keeps every stratum closed under faces and the gamma/rho pair
 mutually inverse.
+
+Membership reads nothing but the layer-1 data (R_1, G_1, G_0), or G_0 alone
+for a single-layer simplex, so every stratum and its Y and Z parts are unions
+of the classes of simplices sharing that data; ``membership`` is the one
+statement of the rule, asked once per class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -70,32 +76,40 @@ def membership(sigma: WitnessTable, sid: StratumId) -> str:
     return OUT
 
 
+@lru_cache(maxsize=8)
+def _classes(k: Complex) -> tuple:
+    """The simplices of k grouped by the layer-1 data that membership reads."""
+    groups = {}
+    for s in k.simplices:
+        groups.setdefault((s.r_set(1), s.g(1), s.g(0)) if s.t >= 1 else s.g(0), []).append(s)
+    return tuple(groups.values())
+
+
+def _part(k: Complex, sid: StratumId, kinds) -> frozenset:
+    """The union of the classes whose membership in sid is one of kinds."""
+    return frozenset(s for cls in _classes(k) if membership(cls[0], sid) in kinds for s in cls)
+
+
 def stratum(k: Complex, sid: StratumId) -> Slice:
     sid.validate(k.counter)
-    members = frozenset(s for s in k.simplices if membership(s, sid) != OUT)
-    out = Slice(k, members)
+    out = Slice(k, _part(k, sid, (IN_Y, IN_Z)))
     if not out.is_closed():
         raise AssertionError(f"stratum {sid} is not boundary-closed")
     return out
 
 
-def _y_slice(k: Complex, first, ghosts) -> frozenset:
-    """The Y part alone (not boundary-closed); empty when ghosts exceed first."""
-    first, ghosts = frozenset(first), frozenset(ghosts)
-    if not ghosts <= first:
-        return frozenset()
-    return frozenset(
-        s for s in k.simplices if s.t >= 1 and s.r_set(1) == first and ghosts <= s.g(1)
-    )
-
-
-def _z_slice(k: Complex, first) -> frozenset:
-    first = frozenset(first)
-    return frozenset(
-        s
-        for s in k.simplices
-        if (s.t == 0 and first <= s.g(0)) or (s.t >= 1 and first <= s.g(1))
-    )
+def _slices(k: Complex):
+    """Subsets of the active set, and the X_{S,A}, Y_{S,A} and Z_S tables (V = 0)."""
+    act = tuple(sorted(k.counter.active))
+    subsets = [frozenset(c) for n in range(len(act) + 1) for c in combinations(act, n)]
+    x, y, z = {}, {}, {}
+    for s in subsets:
+        z[s] = _part(k, StratumId(s), (IN_Z,))
+        for a in subsets:
+            if a <= s:
+                y[(s, a)] = _part(k, StratumId(s, a), (IN_Y,))
+                x[(s, a)] = y[(s, a)] | z[s]
+    return subsets, x, y, z
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +166,6 @@ def rho_sa(tau: WitnessTable, first: Iterable[int], ghosts: Iterable[int] = ()) 
     if a:
         tau = undelta_v(tau, a)
     return rho(tau, first)
-
-
-def gamma_sa(sigma: WitnessTable, first: Iterable[int], ghosts: Iterable[int] = ()) -> WitnessTable:
-    return gamma(sigma, StratumId(first, ghosts))
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +225,8 @@ def _fmt(*sets) -> str:
 
 def verify_incidence(r: RoundCounter) -> Report:
     """Containment, pairwise and multiple intersections, and the Y/Z laws."""
-    k = build(r)
-    act = tuple(sorted(r.active))
-    subsets = [frozenset(c) for n in range(len(act) + 1) for c in combinations(act, n)]
-    x = {}
-    y = {}
-    z = {}
-    for s in subsets:
-        z[s] = _z_slice(k, s)
-        for a in subsets:
-            if a <= s:
-                y[(s, a)] = _y_slice(k, s, a)
-                x[(s, a)] = y[(s, a)] | z[s]
+    act = frozenset(r.active)
+    subsets, x, y, z = _slices(build(r))
     records = []
 
     def add(check, params, ok, ce=None):
@@ -252,15 +252,14 @@ def verify_incidence(r: RoundCounter) -> Report:
                 "yz-lemma",
                 _fmt(s, a, tt, b),
                 (z[s] & z[tt] == z[s | tt])
-                and (y[(s, a)] & z[tt] == _y_slice(k, s, a | tt))
-                and (y[(s, a)] & y[(tt, b)] == (_y_slice(k, s, a | b) if s == tt else frozenset())),
+                and (y[(s, a)] & z[tt] == y.get((s, a | tt), frozenset()))
+                and (y[(s, a)] & y[(tt, b)] == (y[(s, a | b)] if s == tt else frozenset())),
             )
 
     # multiple intersections of X_{S_1}..X_{S_t}, t = 2, 3
-    tails = [frozenset(s) for s in subsets]
     for count in (2, 3):
         for s1 in subsets:
-            for rest in combinations(tails, count - 1):
+            for rest in combinations(subsets, count - 1):
                 if any(s1 <= si for si in rest):
                     continue
                 inter = x[(s1, frozenset())]
@@ -275,7 +274,7 @@ def verify_incidence(r: RoundCounter) -> Report:
 
     # X_{A,A} as the union of the strictly larger strata with the same ghosts
     for a in subsets:
-        if a == frozenset(act):
+        if a == act:
             continue
         covered = frozenset().union(*(x[(s, a)] for s in subsets if a < s)) if any(
             a < s for s in subsets
@@ -293,15 +292,7 @@ def containment_anomalies(r: RoundCounter) -> list:
     layer-1 witness set is forced: already with two active processes,
     Z_{act - q} sits inside X_{act, B}.  Returns (S, A, T, B) tuples, sorted.
     """
-    k = build(r)
-    act = tuple(sorted(r.active))
-    subsets = [frozenset(c) for n in range(len(act) + 1) for c in combinations(act, n)]
-    x = {}
-    for s in subsets:
-        zs = _z_slice(k, s)
-        for a in subsets:
-            if a <= s:
-                x[(s, a)] = _y_slice(k, s, a) | zs
+    _, x, _, _ = _slices(build(r))
     out = []
     for s, a in x:
         for tt, b in x:
@@ -410,7 +401,7 @@ def strata_partition(k: Complex) -> Report:
     act = tuple(sorted(r.active))
     passive = frozenset(r.passive)
     supp = frozenset(r.support)
-    triples = []
+    sids = []
     for n in range(1, len(act) + 1):
         for s in combinations(act, n):
             s = frozenset(s)
@@ -418,17 +409,17 @@ def strata_partition(k: Complex) -> Report:
                 for a in combinations(sorted(s), j):
                     for nv in range(len(supp - s) + 1):
                         for v in combinations(sorted(supp - s), nv):
-                            triples.append((s, frozenset(a), frozenset(v)))
+                            sids.append(StratumId(s, a, v))
+    candidates = {}
+    for cls in _classes(k):
+        candidates.update(dict.fromkeys(cls, [sid for sid in sids if membership(cls[0], sid) != OUT]))
     records = []
     for sigma in k.simplices:
-        interiors = []
-        for s, a, v in triples:
-            sid = StratumId(s, a, v)
-            if membership(sigma, sid) == OUT:
-                continue
-            transported = delta_v(gamma(sigma, sid), v)
-            if not transported.g(0):
-                interiors.append((s, a, v))
+        interiors = [
+            (sid.first, sid.ghosts, sid.round0)
+            for sid in candidates[sigma]
+            if not delta_v(gamma(sigma, sid), sid.round0).g(0)
+        ]
         if sigma.t == 0:
             ok = not interiors and sigma.w(0) <= passive
         else:

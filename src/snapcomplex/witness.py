@@ -203,19 +203,6 @@ class WitnessTable:
         return cls(json.loads(key))
 
 
-@dataclass(frozen=True)
-class Derived:
-    supp: frozenset
-    active: frozenset
-    ghosts: frozenset
-    dim: int
-    color: int | None
-
-
-def derived(sigma: WitnessTable) -> Derived:
-    return Derived(sigma.supp, sigma.active_set, sigma.ghost_set, sigma.dim, sigma.color)
-
-
 # ---------------------------------------------------------------------------
 # Trace form
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from snapcomplex import RoundCounter, WitnessTable, from_trace, trace_form
+from snapcomplex.decomposition import IN_Y, IN_Z, OUT
+from snapcomplex.errors import InvalidArgument
 
 # ---------------------------------------------------------------------------
 # Counter corpora
@@ -190,6 +192,41 @@ def enumerate_top_brute(r: RoundCounter) -> set:
             if all(counts[p] == r[p] for p in act):
                 found.add(WitnessTable([(supp, ())] + [(layer, ()) for layer in seq]))
     return found
+
+
+def membership_brute(sigma: WitnessTable, sid) -> str:
+    """Per-simplex Y/Z membership of a stratum, gated by the round-0 condition."""
+    if not sid.ghosts <= sid.first:
+        raise InvalidArgument(f"need ghosts <= first in {sid}")
+    if not sid.round0 <= sigma.g(0):
+        return OUT
+    if sigma.t == 0:
+        return IN_Z if sid.first <= sigma.g(0) else OUT
+    if sid.first <= sigma.g(1):
+        return IN_Z
+    if sigma.r_set(1) == sid.first and sid.ghosts <= sigma.g(1):
+        return IN_Y
+    return OUT
+
+
+def y_slice_brute(k, first, ghosts) -> frozenset:
+    """The Y part of X_{S,A} by a scan of every simplex; empty when A exceeds S."""
+    first, ghosts = frozenset(first), frozenset(ghosts)
+    if not ghosts <= first:
+        return frozenset()
+    return frozenset(
+        s for s in k.simplices if s.t >= 1 and s.r_set(1) == first and ghosts <= s.g(1)
+    )
+
+
+def z_slice_brute(k, first) -> frozenset:
+    """Z_S by a scan of every simplex: S ghosted at layer 1, or at round 0 for one layer."""
+    first = frozenset(first)
+    return frozenset(
+        s
+        for s in k.simplices
+        if (s.t == 0 and first <= s.g(0)) or (s.t >= 1 and first <= s.g(1))
+    )
 
 
 def betti_of_simplex_set(simplices) -> tuple:

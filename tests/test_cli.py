@@ -142,3 +142,20 @@ def test_failing_check_sets_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "pure: FAIL" in out and "some-simplex-key" in out
     assert "homology: ok" in out
+
+
+def test_verify_runs_structural_checks_once(capsys, monkeypatch):
+    from snapcomplex import cli, complexes
+
+    calls = []
+    real = complexes.structural_checks
+
+    def counted(k):
+        calls.append(k)
+        return real(k)
+
+    monkeypatch.setattr(complexes, "structural_checks", counted)
+    cli._structure.cache_clear()
+    code, _, _ = run(capsys, "verify", "--counter", "1,1,1", "--checks", "pure,pseudo,connected,reconstruction")
+    assert code == 0
+    assert len(calls) == 1

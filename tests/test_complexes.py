@@ -246,3 +246,27 @@ def test_export_bytes_pinned():
         for name, text in texts.items():
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             assert digest == EXPORT_SHA256[counter, name], (counter, name)
+
+
+# sha256 of `verify --format json` stdout; a stratum rewrite that moves one
+# simplex between strata or reorders the records changes them
+VERIFY_SHA256 = {
+    "1,1,1": "6542d1e07041c141b1ea2eb21717e61b7d0f550863a1713ba5147f99c20c19ab",
+    "2,1,1": "f5dd79fe84da918c04f651b36265e9a62cfc1de36b1975a55b03948875ba3934",
+    "1,1,0": "6a4bef8b08c80ae8acb53d1fa8ea6ae584c9db09d06be56de306c6345c414d6f",
+}
+
+
+def test_verify_bytes_pinned(capsys):
+    from snapcomplex.cli import main
+
+    for counter, want in VERIFY_SHA256.items():
+        assert main(["verify", "--counter", counter, "--format", "json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == want, counter
+
+
+def test_build_is_cached_and_bounded():
+    r = RoundCounter.of(1, 1)
+    assert build(r) is build(r)
+    assert build.cache_info().maxsize is not None

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from snapcomplex import (
@@ -17,8 +19,9 @@ from snapcomplex import (
     verify_incidence,
     verify_stratum_iso,
 )
-from snapcomplex.decomposition import IN_Y, IN_Z, OUT
+from snapcomplex.decomposition import IN_Y, IN_Z, OUT, _slices
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
+from tests.helpers import membership_brute, y_slice_brute, z_slice_brute
 
 
 def keys(simplices):
@@ -85,6 +88,41 @@ def test_gamma_rho_single_layer_extension():
     assert gamma(WitnessTable([({1}, {0})]), sid) == WitnessTable([({1}, ())])
     assert rho_sa(WitnessTable([({1}, ())]), {0}, {0}) == WitnessTable([({1}, {0})])
     assert verify_stratum_iso(r, sid)
+
+
+def _subsets(elems):
+    elems = sorted(elems)
+    return [frozenset(c) for n in range(len(elems) + 1) for c in combinations(elems, n)]
+
+
+ORACLE_COUNTERS = [(1, 1), (2, 1), (1, 1, 0), (1, 1, 1), (2, 1, 1)]
+
+
+def test_stratum_matches_per_simplex_oracle():
+    # every (S, A, V), round-0 sets V included, against a scan of every simplex
+    for values in ORACLE_COUNTERS:
+        r = RoundCounter.of(*values)
+        k = build(r)
+        for s in _subsets(r.active):
+            for a in _subsets(s):
+                for v in _subsets(r.support - s):
+                    sid = StratumId(s, a, v)
+                    want = {sigma for sigma in k.simplices if membership_brute(sigma, sid) != OUT}
+                    assert stratum(k, sid).members == want, (values, sid)
+
+
+def test_slices_match_oracle_slices():
+    for values in ORACLE_COUNTERS:
+        r = RoundCounter.of(*values)
+        k = build(r)
+        subsets, x, y, z = _slices(k)
+        assert subsets == _subsets(r.active)
+        assert set(x) == set(y) == {(s, a) for s in subsets for a in _subsets(s)}
+        for s in subsets:
+            assert z[s] == z_slice_brute(k, s), (values, s)
+            for a in _subsets(s):
+                assert y[(s, a)] == y_slice_brute(k, s, a), (values, s, a)
+                assert x[(s, a)] == y_slice_brute(k, s, a) | z_slice_brute(k, s), (values, s, a)
 
 
 def test_verify_stratum_iso_examples():

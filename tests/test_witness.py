@@ -9,7 +9,6 @@ from snapcomplex import (
     classify,
     classify_trace,
     complete,
-    derived,
     from_trace,
     ghost,
     ghost_one,
@@ -116,10 +115,10 @@ def test_roundtrip_exhaustive_small():
 
 
 def test_derived_examples():
-    d = derived(WitnessTable(GHOST_IN))
-    assert (d.supp, d.active, d.ghosts, d.dim) == ({1, 2, 3, 4}, {2, 3}, {1, 4}, 1)
-    assert derived(WitnessTable([((), {0, 1})])).dim == -1
-    v = derived(WitnessTable([({0, 1}, ()), ({0}, {1})]))
+    d = WitnessTable(GHOST_IN)
+    assert (d.supp, d.active_set, d.ghost_set, d.dim) == ({1, 2, 3, 4}, {2, 3}, {1, 4}, 1)
+    assert WitnessTable([((), {0, 1})]).dim == -1
+    v = WitnessTable([({0, 1}, ()), ({0}, {1})])
     assert (v.dim, v.color) == (0, 0)
 
 
