@@ -108,6 +108,8 @@ def _run_check(name: str, r: RoundCounter) -> CheckRecord:
         ver = topology.validate_collapse(k, seq)
         ok = bool(ver) and len(seq.residual) == len(k.simplices) - 2 * len(seq.steps)
         ok = ok and sorted(s.dim for s in seq.residual) == [-1, 0]
+        if not ok and ver.failed_index is not None:
+            return CheckRecord("collapse", r.text(), False, f"{ver.reason} at {seq.locate(ver.failed_index)}")
         return CheckRecord("collapse", r.text(), ok, None if ok else ver.reason or "bad residual")
     if name == "homology":
         prof = topology.homology_gf2(k)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import PreconditionViolation
+from .errors import InvalidArgument, PreconditionViolation
 from .rounds import RoundCounter
 from . import witness
 from .witness import WitnessTable
@@ -171,14 +171,25 @@ def delta_v(sigma: WitnessTable, ids: Iterable[int]) -> WitnessTable:
     v = frozenset(ids)
     if not v <= sigma.g(0):
         raise PreconditionViolation(f"{sorted(v)} is not within the round-0 ghost set")
+    # round-0 ghosts occur in no other layer, so removing them keeps P1-P3
+    # and the W parts, hence the class
     w0, g0 = sigma.pairs[0]
-    return WitnessTable(((w0, tuple(p for p in g0 if p not in v)),) + sigma.pairs[1:])
+    pairs = ((w0, tuple(p for p in g0 if p not in v)),) + sigma.pairs[1:]
+    return WitnessTable._trusted(pairs, sigma.classification)
 
 
 def undelta_v(tau: WitnessTable, ids: Iterable[int]) -> WitnessTable:
+    """Add ids to the round-0 ghost set; they must be new nonnegative ids
+    or ghosts already, never witnessed at round 0 (P3)."""
     v = frozenset(ids)
     w0, g0 = tau.pairs[0]
-    return WitnessTable(((w0, tuple(sorted(set(g0) | v))),) + tau.pairs[1:])
+    if any(not isinstance(p, int) or p < 0 for p in v):
+        raise InvalidArgument(f"process ids must be nonnegative integers: {sorted(v, key=repr)}")
+    if v.intersection(w0):
+        raise InvalidArgument(f"{sorted(v.intersection(w0))} is witnessed at round 0")
+    # every later layer lies inside W_0, so ids outside it touch no other layer
+    pairs = ((w0, tuple(sorted(v.union(g0)))),) + tau.pairs[1:]
+    return WitnessTable._trusted(pairs, tau.classification)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,7 @@ def _part(k: Complex, sid: StratumId, kinds) -> frozenset:
     return frozenset(s for cls in _classes(k) if membership(cls[0], sid) in kinds for s in cls)
 
 
+@lru_cache(maxsize=1024)
 def stratum(k: Complex, sid: StratumId) -> Slice:
     sid.validate(k.counter)
     out = Slice(k, _part(k, sid, (IN_Y, IN_Z)))
@@ -122,23 +123,30 @@ def gamma(sigma: WitnessTable, sid: StratumId) -> WitnessTable:
 
     Y members lose their whole layer 1 into the round-0 ghosts, Z members
     only the ghosted copy of S; the forced ghosts A leave the support.
+
+    The result is a prestructure by construction: layer 1 and the later
+    layers lie inside W_0 and avoid G_0, and a Z member has S inside G_1,
+    so S is witnessed nowhere.  Only a Y member changes the W parts after
+    layer 0, so only its class is read again.
     """
     kind = membership(sigma, sid)
     if kind == OUT:
         raise PreconditionViolation(f"{sigma!r} is not in stratum {sid}")
     s, a = sid.first, sid.ghosts
     pairs = sigma.pairs
+    w0, g0 = pairs[0]
     if sigma.t == 0:
-        w0, g0 = pairs[0]
-        return WitnessTable(((w0, tuple(p for p in g0 if p not in a)),))
+        out = ((w0, tuple(p for p in g0 if p not in a)),)
+        return WitnessTable._trusted(out, sigma.classification)
+    w1, g1 = pairs[1]
     if kind == IN_Y:
-        w0 = sigma.w(0) - sigma.g(1)
-        g0 = (sigma.g(0) | sigma.g(1)) - a
-        return WitnessTable([(w0, g0)] + list(pairs[2:]))
-    w0 = sigma.w(0) - s
-    g0 = (sigma.g(0) | s) - a
-    g1 = sigma.g(1) - s
-    return WitnessTable([(w0, g0), (sigma.w(1), g1)] + list(pairs[2:]))
+        out = ((tuple(p for p in w0 if p not in g1), tuple(sorted(set(g0).union(g1) - a))),) + pairs[2:]
+        return WitnessTable._trusted(out, witness.kind_of(out))
+    out = (
+        (tuple(p for p in w0 if p not in s), tuple(sorted(s.union(g0) - a))),
+        (w1, tuple(p for p in g1 if p not in s)),
+    ) + pairs[2:]
+    return WitnessTable._trusted(out, sigma.classification)
 
 
 def rho(tau: WitnessTable, first: Iterable[int]) -> WitnessTable:
@@ -146,18 +154,30 @@ def rho(tau: WitnessTable, first: Iterable[int]) -> WitnessTable:
 
     When tau witnesses part of S at round 0, that part becomes the new layer
     1; otherwise S is already ghosted at round 0 and just moves one layer in.
+
+    Every later layer keeps its W part, so the result keeps the class of
+    tau (a single layer is a witness structure, and so is its extension by
+    a nonempty layer 1).
     """
     s = frozenset(first)
     if not s <= tau.supp:
         raise PreconditionViolation(f"{sorted(s)} is not within the support")
     pairs = tau.pairs
-    v0, h0 = tau.w(0), tau.g(0)
-    if v0 & s:
-        w0 = v0 | (h0 & s)
-        return WitnessTable([(w0, h0 - s), (v0 & s, h0 & s)] + list(pairs[1:]))
+    v0, h0 = pairs[0]
+    if s.intersection(v0):
+        out = (
+            (tuple(sorted(s.intersection(h0).union(v0))), tuple(p for p in h0 if p not in s)),
+            (tuple(p for p in v0 if p in s), tuple(p for p in h0 if p in s)),
+        ) + pairs[1:]
+        return WitnessTable._trusted(out, tau.classification)
     if tau.t == 0:
         return tau
-    return WitnessTable([(v0 | s, h0 - s), (tau.w(1), tau.g(1) | s)] + list(pairs[2:]))
+    w1, g1 = pairs[1]
+    out = (
+        (tuple(sorted(s.union(v0))), tuple(p for p in h0 if p not in s)),
+        (w1, tuple(sorted(s.union(g1)))),
+    ) + pairs[2:]
+    return WitnessTable._trusted(out, tau.classification)
 
 
 def rho_sa(tau: WitnessTable, first: Iterable[int], ghosts: Iterable[int] = ()) -> WitnessTable:

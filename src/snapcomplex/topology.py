@@ -58,6 +58,14 @@ class CollapseSequence:
             out.add(step.coface)
         return frozenset(out)
 
+    def locate(self, index: int) -> str:
+        """Name step index with the stage and stratum batch (S, A) that made it."""
+        for b in self.batches:
+            if b.start <= index < b.stop:
+                s, a = ("{" + ",".join(map(str, ids)) + "}" for ids in (b.first, b.forced))
+                return f"step {index} (stage {b.stage}, S={s}, A={a})"
+        return f"step {index}"
+
     def to_json_obj(self) -> dict:
         return {
             "steps": [{"free": s.free.key, "coface": s.coface.key} for s in self.steps],

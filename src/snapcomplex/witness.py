@@ -20,7 +20,9 @@ the last layer that still witnesses something outside S and the ghosts), and
 ghosting Gamma_S = C . st_S, the face operator of the snapshot complexes.
 The operators work directly on the table layers, not through the trace form,
 and build their results with the trusted constructor: they are valid by
-construction.  Every other table is validated.
+construction.  So do the stratum transport maps of ``complexes`` and
+``decomposition``, whose results take their class from ``kind_of``.  Every
+other table, including any built from outside input, is validated.
 
 Everything here is an immutable value; operations return new objects.
 """
@@ -55,8 +57,9 @@ def _normalize_pairs(pairs) -> tuple:
         w, g = entry
         w = tuple(sorted(set(w)))
         g = tuple(sorted(set(g)))
-        if any(not isinstance(p, int) or p < 0 for p in w + g):
-            raise InvalidArgument(f"process ids must be nonnegative integers: {entry!r}")
+        for p in w + g:
+            if not isinstance(p, int) or p < 0:
+                raise InvalidArgument(f"process ids must be nonnegative integers: {entry!r}")
         out.append((w, g))
     return tuple(out)
 
@@ -67,29 +70,36 @@ def classify(pairs) -> Classification:
         pairs = _normalize_pairs(pairs)
     except (InvalidArgument, TypeError, ValueError):
         return Classification("invalid", "shape")
+    return _classify_normalized(pairs)
+
+
+def _classify_normalized(pairs: tuple) -> Classification:
     if not pairs:
         return Classification("invalid", "shape")
-    t = len(pairs) - 1
     w0 = set(pairs[0][0])
     for w, g in pairs[1:]:
-        if not (set(w) <= w0 and set(g) <= w0):
+        if not (w0.issuperset(w) and w0.issuperset(g)):
             return Classification("invalid", "P1")
     seen_ghosts = set()
     for _, g in pairs:
-        g = set(g)
-        if g & seen_ghosts:
+        if not seen_ghosts.isdisjoint(g):
             return Classification("invalid", "P2")
-        seen_ghosts |= g
+        seen_ghosts.update(g)
     ghosted = set()
     for w, g in pairs:
-        ghosted |= set(g)
-        if ghosted & set(w):
+        ghosted.update(g)
+        if not ghosted.isdisjoint(w):
             return Classification("invalid", "P3")
-    if t >= 1 and not pairs[t][0]:
-        return Classification(PRESTRUCTURE)
+    return Classification(kind_of(pairs))
+
+
+def kind_of(pairs) -> str:
+    """The class of pairs that already form a prestructure, read off the W parts."""
+    if len(pairs) > 1 and not pairs[-1][0]:
+        return PRESTRUCTURE
     if any(not w for w, _ in pairs[1:]):
-        return Classification(STABLE)
-    return Classification(WITNESS)
+        return STABLE
+    return WITNESS
 
 
 class WitnessTable:
@@ -102,7 +112,7 @@ class WitnessTable:
 
     def __init__(self, pairs):
         pairs = _normalize_pairs(pairs)
-        cls = classify(pairs)
+        cls = _classify_normalized(pairs)
         if not cls:
             raise InvalidArgument(f"not a witness prestructure: {cls.violated}")
         self.pairs = pairs
@@ -111,9 +121,10 @@ class WitnessTable:
     @classmethod
     def _trusted(cls, pairs: tuple, kind: str) -> "WitnessTable":
         """Skip validation for pairs that are normalized, valid and of class
-        ``kind`` by construction.  Only the face operators here and
-        ``complexes.enumerate_top`` use it; every other input goes through
-        the validating constructor."""
+        ``kind`` by construction.  Only the face operators here,
+        ``complexes.enumerate_top`` and the stratum transport maps
+        (``decomposition.gamma``/``rho``, ``complexes.delta_v``/``undelta_v``)
+        use it; every other input goes through the validating constructor."""
         self = cls.__new__(cls)
         self.pairs = pairs
         self.classification = kind
@@ -333,9 +344,9 @@ def stabilize(sigma: WitnessTable, ghosted: Iterable[int]) -> WitnessTable:
             out.append((w, g))
         later.update(w, g)
     out.reverse()
+    out = tuple(out)
     # the cut layer keeps a witnessed process, so the result is at least stable
-    kind = WITNESS if all(w for w, _ in out[1:]) else STABLE
-    return WitnessTable._trusted(tuple(out), kind)
+    return WitnessTable._trusted(out, kind_of(out))
 
 
 def ghost(sigma: WitnessTable, ghosted: Iterable[int]) -> WitnessTable:

@@ -3,8 +3,9 @@
 The oracles deliberately re-derive results along different routes than the
 library: stabilization via the per-layer move-set table and via trace
 truncation, canonical form via a single forward-merging pass and via the
-kept-layer index list, executions via unpruned sequence filtering.  Every
-oracle builds its result with the validating ``WitnessTable`` constructor.
+kept-layer index list, executions via unpruned sequence filtering.  The
+stratum transport maps keep their validating bodies here.  Every oracle
+builds its result with the validating ``WitnessTable`` constructor.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import combinations, product
 
 from snapcomplex import RoundCounter, WitnessTable, from_trace, trace_form
 from snapcomplex.decomposition import IN_Y, IN_Z, OUT
-from snapcomplex.errors import InvalidArgument
+from snapcomplex.errors import InvalidArgument, PreconditionViolation
 
 # ---------------------------------------------------------------------------
 # Counter corpora
@@ -227,6 +228,57 @@ def z_slice_brute(k, first) -> frozenset:
         for s in k.simplices
         if (s.t == 0 and first <= s.g(0)) or (s.t >= 1 and first <= s.g(1))
     )
+
+
+def gamma_oracle(sigma: WitnessTable, sid) -> WitnessTable:
+    """Peel the first class off a stratum member, validating the result."""
+    kind = membership_brute(sigma, sid)
+    if kind == OUT:
+        raise PreconditionViolation(f"{sigma!r} is not in stratum {sid}")
+    s, a = sid.first, sid.ghosts
+    pairs = sigma.pairs
+    if sigma.t == 0:
+        w0, g0 = pairs[0]
+        return WitnessTable(((w0, tuple(p for p in g0 if p not in a)),))
+    if kind == IN_Y:
+        w0 = sigma.w(0) - sigma.g(1)
+        g0 = (sigma.g(0) | sigma.g(1)) - a
+        return WitnessTable([(w0, g0)] + list(pairs[2:]))
+    w0 = sigma.w(0) - s
+    g0 = (sigma.g(0) | s) - a
+    g1 = sigma.g(1) - s
+    return WitnessTable([(w0, g0), (sigma.w(1), g1)] + list(pairs[2:]))
+
+
+def rho_oracle(tau: WitnessTable, first) -> WitnessTable:
+    """Re-attach the first class (A = 0), validating the result."""
+    s = frozenset(first)
+    if not s <= tau.supp:
+        raise PreconditionViolation(f"{sorted(s)} is not within the support")
+    pairs = tau.pairs
+    v0, h0 = tau.w(0), tau.g(0)
+    if v0 & s:
+        w0 = v0 | (h0 & s)
+        return WitnessTable([(w0, h0 - s), (v0 & s, h0 & s)] + list(pairs[1:]))
+    if tau.t == 0:
+        return WitnessTable(tau.pairs)
+    return WitnessTable([(v0 | s, h0 - s), (tau.w(1), tau.g(1) | s)] + list(pairs[2:]))
+
+
+def delta_v_oracle(sigma: WitnessTable, ids) -> WitnessTable:
+    """Strip ids from the round-0 ghost set, validating the result."""
+    v = frozenset(ids)
+    if not v <= sigma.g(0):
+        raise PreconditionViolation(f"{sorted(v)} is not within the round-0 ghost set")
+    w0, g0 = sigma.pairs[0]
+    return WitnessTable(((w0, tuple(p for p in g0 if p not in v)),) + sigma.pairs[1:])
+
+
+def undelta_v_oracle(tau: WitnessTable, ids) -> WitnessTable:
+    """Add ids to the round-0 ghost set; the constructor rejects what breaks P1-P3."""
+    v = frozenset(ids)
+    w0, g0 = tau.pairs[0]
+    return WitnessTable(((w0, tuple(sorted(set(g0) | v))),) + tau.pairs[1:])
 
 
 def betti_of_simplex_set(simplices) -> tuple:

@@ -159,3 +159,22 @@ def test_verify_runs_structural_checks_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--counter", "1,1,1", "--checks", "pure,pseudo,connected,reconstruction")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_failed_collapse_names_step_stage_and_batch(capsys, monkeypatch):
+    from snapcomplex import topology
+    from snapcomplex.topology import CollapseSequence
+
+    real = topology.collapse_to_point
+
+    def swapped(r):
+        seq = real(r)
+        steps = list(seq.steps)
+        steps[11], steps[12] = steps[12], steps[11]
+        return CollapseSequence(tuple(steps), seq.residual, seq.batches)
+
+    monkeypatch.setattr(topology, "collapse_to_point", swapped)
+    code, out, _ = run(capsys, "verify", "--counter", "1,1,1", "--checks", "collapse")
+    assert code == 1
+    where = "coface is not maximal at step 11 (stage 2, S={0,1,2}, A={})"
+    assert out == f"collapse: FAIL (1,1,1) counterexample={where}\n"

@@ -254,6 +254,8 @@ VERIFY_SHA256 = {
     "1,1,1": "6542d1e07041c141b1ea2eb21717e61b7d0f550863a1713ba5147f99c20c19ab",
     "2,1,1": "f5dd79fe84da918c04f651b36265e9a62cfc1de36b1975a55b03948875ba3934",
     "1,1,0": "6a4bef8b08c80ae8acb53d1fa8ea6ae584c9db09d06be56de306c6345c414d6f",
+    "2,2": "7a4390edb7e6d834d134daea5c76ef98a04443031a4391f48a57bc3e1f0b8a82",
+    "1,1,0,0": "1935804398219acec784d44d3653d0a3be4f086bfe150717613562827d359f79",
 }
 
 
@@ -262,6 +264,23 @@ def test_verify_bytes_pinned(capsys):
 
     for counter, want in VERIFY_SHA256.items():
         assert main(["verify", "--counter", counter, "--format", "json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == want, counter
+
+
+# sha256 of `collapse --format json` stdout; these counters move steps through
+# rho_sa with forced ghosts A and through two-round Y members
+COLLAPSE_SHA256 = {
+    "2,1,1": "1d335e03698c8d9f74fa2b212c931e9cff954f356fc14b710ae297677656c8bf",
+    "1,1,1,1": "ec3f839df8e8d8b49f34b1fb2c968ccea5fee7f51e3132bad498bb6b18560011",
+}
+
+
+def test_collapse_bytes_pinned(capsys):
+    from snapcomplex.cli import main
+
+    for counter, want in COLLAPSE_SHA256.items():
+        assert main(["collapse", "--counter", counter, "--format", "json"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest == want, counter
 

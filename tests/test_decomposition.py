@@ -9,6 +9,7 @@ from snapcomplex import (
     all_stratum_ids,
     build,
     containment_anomalies,
+    delta_v,
     gamma,
     membership,
     rho,
@@ -19,9 +20,19 @@ from snapcomplex import (
     verify_incidence,
     verify_stratum_iso,
 )
+from snapcomplex.complexes import undelta_v
 from snapcomplex.decomposition import IN_Y, IN_Z, OUT, _slices
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
-from tests.helpers import membership_brute, y_slice_brute, z_slice_brute
+from tests.helpers import (
+    all_prestructures,
+    delta_v_oracle,
+    gamma_oracle,
+    membership_brute,
+    rho_oracle,
+    undelta_v_oracle,
+    y_slice_brute,
+    z_slice_brute,
+)
 
 
 def keys(simplices):
@@ -90,6 +101,21 @@ def test_gamma_rho_single_layer_extension():
     assert verify_stratum_iso(r, sid)
 
 
+def test_transport_maps_reject_invalid_input():
+    t = WitnessTable([((0, 1), (2,)), ((1,), ())])
+    with pytest.raises(InvalidArgument):
+        undelta_v(t, [0])  # 0 is witnessed at round 0 (P3)
+    with pytest.raises(InvalidArgument):
+        undelta_v(t, [-1])
+    with pytest.raises(PreconditionViolation):
+        delta_v(t, [0])  # not a round-0 ghost
+    with pytest.raises(PreconditionViolation):
+        rho(t, [5])  # outside the support
+    assert membership(t, StratumId({0})) == OUT
+    with pytest.raises(PreconditionViolation):
+        gamma(t, StratumId({0}))
+
+
 def _subsets(elems):
     elems = sorted(elems)
     return [frozenset(c) for n in range(len(elems) + 1) for c in combinations(elems, n)]
@@ -123,6 +149,55 @@ def test_slices_match_oracle_slices():
             for a in _subsets(s):
                 assert y[(s, a)] == y_slice_brute(k, s, a), (values, s, a)
                 assert x[(s, a)] == y_slice_brute(k, s, a) | z_slice_brute(k, s), (values, s, a)
+
+
+def _agree(new, old, *args):
+    """new builds the table of the validating oracle: the same normalized
+    pairs, and the class WitnessTable(pairs) gives them."""
+    got, want = new(*args), old(*args)
+    assert (got.pairs, got.classification) == (want.pairs, want.classification), args
+    return got
+
+
+def _rho_sa_oracle(tau, first, ghosts):
+    return rho_oracle(undelta_v_oracle(tau, ghosts) if ghosts else tau, first)
+
+
+def test_transport_maps_match_validating_oracles_on_prestructures():
+    # every admissible argument; test_transport_maps_reject_invalid_input
+    # covers the rejected ones
+    universe = (0, 1, 2)
+    subsets = {x: _subsets(x) for x in _subsets(universe)}
+    for sigma in all_prestructures(universe, 3):
+        for s in subsets[frozenset(universe)]:
+            for a in subsets[s]:
+                if membership_brute(sigma, StratumId(s, a)) == OUT:
+                    continue
+                # the round-0 gate admits exactly the V inside G_0
+                for v in subsets[sigma.g(0) - s]:
+                    _agree(gamma, gamma_oracle, sigma, StratumId(s, a, v))
+        for ids in subsets[frozenset(universe)]:
+            if ids <= sigma.supp:
+                _agree(rho, rho_oracle, sigma, ids)
+            if ids <= sigma.g(0):
+                _agree(delta_v, delta_v_oracle, sigma, ids)
+            if not ids & sigma.w(0):
+                _agree(undelta_v, undelta_v_oracle, sigma, ids)
+
+
+def test_transport_maps_match_validating_oracles_on_strata():
+    for values in ORACLE_COUNTERS + [(2, 2)]:
+        r = RoundCounter.of(*values)
+        k = build(r)
+        for s in _subsets(r.active):
+            for a in _subsets(s):
+                for v in _subsets(r.support - s):
+                    sid = StratumId(s, a, v)
+                    for sigma in stratum(k, sid).members:
+                        tau = _agree(gamma, gamma_oracle, sigma, sid)
+                        _agree(delta_v, delta_v_oracle, sigma, v)
+                        _agree(undelta_v, undelta_v_oracle, tau, a)
+                        _agree(rho_sa, _rho_sa_oracle, tau, s, a)
 
 
 def test_verify_stratum_iso_examples():

@@ -1,7 +1,10 @@
+import ast
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import snapcomplex
 from snapcomplex import (
     RoundCounter,
     WitnessTable,
@@ -297,3 +300,37 @@ def test_key_roundtrip_and_ordering():
     sigma = WitnessTable(GHOST_IN)
     assert WitnessTable.from_key(sigma.key) == sigma
     assert sigma.key == "[[[1,2,3,4],[]],[[1,2],[]],[[3],[4]],[[3],[1]]]"
+
+
+# the functions whose results are valid by construction; a new trusted call
+# site has to be added here on purpose
+TRUSTED_CALLERS = {"canonical_form", "stabilize", "enumerate_top", "gamma", "rho", "delta_v", "undelta_v"}
+
+
+def _trusted_sites(tree):
+    """(file-level function, line) of every mention of ``_trusted`` below tree."""
+    sites = []
+
+    def visit(node, owner):
+        if (
+            (isinstance(node, ast.Attribute) and node.attr == "_trusted")
+            or (isinstance(node, ast.Name) and node.id == "_trusted")
+            or (isinstance(node, ast.Constant) and node.value == "_trusted")
+        ):
+            sites.append((owner, node.lineno))
+        if owner is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return sites
+
+
+def test_trusted_constructor_only_in_allowlisted_functions():
+    owners = set()
+    for path in sorted(Path(snapcomplex.__file__).parent.glob("*.py")):
+        for owner, line in _trusted_sites(ast.parse(path.read_text(encoding="utf-8"))):
+            assert owner in TRUSTED_CALLERS, f"{path.name}:{line} uses WitnessTable._trusted"
+            owners.add(owner)
+    assert owners == TRUSTED_CALLERS
