@@ -245,6 +245,9 @@ def main(argv=None) -> int:
     except (InvalidArgument, PreconditionViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(f"error: counter {r.text()} is too deep for the recursion limit", file=sys.stderr)
+        return 2
     raise AssertionError("unreachable")
 
 

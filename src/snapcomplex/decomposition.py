@@ -99,17 +99,21 @@ def stratum(k: Complex, sid: StratumId) -> Slice:
     return out
 
 
+def _subsets(elems) -> list:
+    """Every subset of elems as a frozenset, by size and then lexicographically."""
+    elems = sorted(elems)
+    return [frozenset(c) for n in range(len(elems) + 1) for c in combinations(elems, n)]
+
+
 def _slices(k: Complex):
     """Subsets of the active set, and the X_{S,A}, Y_{S,A} and Z_S tables (V = 0)."""
-    act = tuple(sorted(k.counter.active))
-    subsets = [frozenset(c) for n in range(len(act) + 1) for c in combinations(act, n)]
+    subsets = _subsets(k.counter.active)
     x, y, z = {}, {}, {}
     for s in subsets:
         z[s] = _part(k, StratumId(s), (IN_Z,))
-        for a in subsets:
-            if a <= s:
-                y[(s, a)] = _part(k, StratumId(s, a), (IN_Y,))
-                x[(s, a)] = y[(s, a)] | z[s]
+        for a in _subsets(s):
+            y[(s, a)] = _part(k, StratumId(s, a), (IN_Y,))
+            x[(s, a)] = y[(s, a)] | z[s]
     return subsets, x, y, z
 
 
@@ -197,41 +201,29 @@ def verify_stratum_iso(r: RoundCounter, sid: StratumId) -> bool:
     """gamma is a face-respecting bijection from the stratum onto its target.
 
     The target is the complex of the reduced counter, cut down to the
-    round-0 boundary piece when the stratum has one.
+    round-0 boundary piece when the stratum has one.  Faces on both sides
+    are read from the built lattices; since every member must keep its
+    active set, equal face sets pair each face of sigma with the face of
+    tau that lacks the same process.
     """
     sid.validate(r)
     k = build(r)
-    part = stratum(k, sid)
     target = build(r.reduce(sid.first, sid.ghosts))
-    expected = {t for t in target.simplices if sid.round0 <= t.g(0)}
-
-    images = {}
-    for sigma in part.members:
-        tau = gamma(sigma, sid)
-        if tau in images:
-            return False
-        images[tau] = sigma
-    if set(images) != expected:
+    image = {sigma: gamma(sigma, sid) for sigma in stratum(k, sid).members}
+    images = set(image.values())
+    if len(images) != len(image) or images != {t for t in target.simplices if sid.round0 <= t.g(0)}:
         return False
-    for tau, sigma in images.items():
-        if rho_sa(tau, sid.first, sid.ghosts) != sigma:
+    for sigma, tau in image.items():
+        if rho_sa(tau, sid.first, sid.ghosts) != sigma or tau.active_set != sigma.active_set:
             return False
-        for p in sorted(sigma.active_set):
-            if gamma(witness.ghost_one(sigma, p), sid) != witness.ghost_one(tau, p):
-                return False
+        if {image[f] for f in k.facets[sigma]} != set(target.facets[tau]):
+            return False
     return True
 
 
 def all_stratum_ids(r: RoundCounter) -> list:
     """Every (S, A) pair with A <= S <= active set (V = 0)."""
-    act = tuple(sorted(r.active))
-    out = []
-    for k in range(len(act) + 1):
-        for s in combinations(act, k):
-            for j in range(len(s) + 1):
-                for a in combinations(s, j):
-                    out.append(StratumId(s, a))
-    return out
+    return [StratumId(s, a) for s in _subsets(r.active) for a in _subsets(s)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +233,16 @@ def all_stratum_ids(r: RoundCounter) -> list:
 
 def _fmt(*sets) -> str:
     return " ".join("{" + ",".join(map(str, sorted(x))) + "}" for x in sets)
+
+
+def _implies_containment(s, a, tt, b) -> bool:
+    """Sufficient test for X_{S,A} <= X_{T,B}.
+
+    Same first class with fewer forced ghosts, or first class inside the
+    forced ghosts.  The converse fails on small counters, see
+    containment_anomalies().
+    """
+    return (s == tt and b <= a) or tt <= a
 
 
 def verify_incidence(r: RoundCounter) -> Report:
@@ -255,10 +257,8 @@ def verify_incidence(r: RoundCounter) -> Report:
     pairs = sorted(x, key=lambda sa: (sorted(sa[0]), sorted(sa[1])))
     for s, a in pairs:
         for tt, b in pairs:
-            # sufficiency only: the converse fails on small counters, see
-            # containment_anomalies()
-            criterion = (s == tt and b <= a) or tt <= a
-            add("containment", _fmt(s, a, tt, b), not criterion or x[(s, a)] <= x[(tt, b)])
+            contained = not _implies_containment(s, a, tt, b) or x[(s, a)] <= x[(tt, b)]
+            add("containment", _fmt(s, a, tt, b), contained)
             if s == tt:
                 want = x[(s, a | b)]
             elif s < tt:
@@ -282,10 +282,8 @@ def verify_incidence(r: RoundCounter) -> Report:
             for rest in combinations(subsets, count - 1):
                 if any(s1 <= si for si in rest):
                     continue
-                inter = x[(s1, frozenset())]
-                for si in rest:
-                    inter = inter & x[(si, frozenset())]
-                union_rest = frozenset().union(*rest) if rest else frozenset()
+                inter = x[(s1, frozenset())].intersection(*(x[(si, frozenset())] for si in rest))
+                union_rest = frozenset().union(*rest)
                 if all(si < s1 for si in rest):
                     want = x[(s1, union_rest)]
                 else:
@@ -296,9 +294,7 @@ def verify_incidence(r: RoundCounter) -> Report:
     for a in subsets:
         if a == act:
             continue
-        covered = frozenset().union(*(x[(s, a)] for s in subsets if a < s)) if any(
-            a < s for s in subsets
-        ) else frozenset()
+        covered = frozenset().union(*(x[(s, a)] for s in subsets if a < s))
         add("union-xaa", _fmt(a), x[(a, a)] == covered)
 
     return Report(tuple(records))
@@ -307,17 +303,16 @@ def verify_incidence(r: RoundCounter) -> Report:
 def containment_anomalies(r: RoundCounter) -> list:
     """Stratum pairs that are contained although the two-condition test says no.
 
-    The sufficient test (same first class with fewer forced ghosts, or first
-    class inside the forced ghosts) misses containments that hold because the
-    layer-1 witness set is forced: already with two active processes,
-    Z_{act - q} sits inside X_{act, B}.  Returns (S, A, T, B) tuples, sorted.
+    The sufficient test ``_implies_containment`` misses containments that
+    hold because the layer-1 witness set is forced: already with two active
+    processes, Z_{act - q} sits inside X_{act, B}.  Returns (S, A, T, B)
+    tuples, sorted.
     """
     _, x, _, _ = _slices(build(r))
     out = []
     for s, a in x:
         for tt, b in x:
-            criterion = (s == tt and b <= a) or tt <= a
-            if not criterion and x[(s, a)] <= x[(tt, b)]:
+            if not _implies_containment(s, a, tt, b) and x[(s, a)] <= x[(tt, b)]:
                 out.append((tuple(sorted(s)), tuple(sorted(a)), tuple(sorted(tt)), tuple(sorted(b))))
     return sorted(out)
 
@@ -330,13 +325,13 @@ def containment_anomalies(r: RoundCounter) -> list:
 def verify_diagrams(r: RoundCounter) -> Report:
     """Replay the three commuting squares on every admissible parameter tuple."""
     k = build(r)
-    act = tuple(sorted(r.active))
-    supp = frozenset(r.support)
-    subsets = [frozenset(c) for n in range(len(act) + 1) for c in combinations(act, n)]
+    subsets = _subsets(r.active)
     records = []
 
-    def add(check, params, ok, ce=None):
-        records.append(CheckRecord(check, params, ok, None if ok else ce))
+    def replay(check, params, sid, law):
+        """Record the first member of the stratum sid that breaks law, if any."""
+        bad = next((sigma for sigma in stratum(k, sid).sorted_members if not law(sigma)), None)
+        records.append(CheckRecord(check, _fmt(*params), bad is None, None if bad is None else bad.key))
 
     # strata-within-strata: peeling A then S agrees with peeling S|A at once
     for a in subsets:
@@ -344,62 +339,44 @@ def verify_diagrams(r: RoundCounter) -> Report:
         for s in subsets:
             if not s or s & a:
                 continue
-            ok, ce = True, None
-            big = stratum(k, StratumId(s | a, a))
-            for sigma in big.sorted_members:
+
+            def law(sigma):
                 step = gamma(sigma, StratumId(a, a))
-                if membership(step, StratumId(s)) == OUT or step not in rest:
-                    ok, ce = False, sigma.key
-                    break
-                if gamma(step, StratumId(s)) != gamma(sigma, StratumId(s | a, a)):
-                    ok, ce = False, sigma.key
-                    break
-            add("diagram-strata", _fmt(s, a), ok, ce)
+                return (
+                    membership(step, StratumId(s)) != OUT
+                    and step in rest
+                    and gamma(step, StratumId(s)) == gamma(sigma, StratumId(s | a, a))
+                )
+
+            replay("diagram-strata", (s, a), StratumId(s | a, a), law)
 
     # forcing fewer ghosts differs from forcing more only by round-0 ghosts
-    for s in subsets:
-        if not s:
-            continue
-        for a in subsets:
-            if not a <= s:
-                continue
-            for b in subsets:
-                if not b <= a:
-                    continue
-                ok, ce = True, None
-                for sigma in stratum(k, StratumId(s, a)).sorted_members:
-                    lhs = gamma(sigma, StratumId(s, b))
-                    rhs = undelta_v(gamma(sigma, StratumId(s, a)), a - b)
-                    if lhs != rhs:
-                        ok, ce = False, sigma.key
-                        break
-                add("diagram-ghost-forcing", _fmt(s, a, b), ok, ce)
+    for s in subsets[1:]:  # S nonempty
+        for a in _subsets(s):
+            for b in _subsets(a):
+                replay(
+                    "diagram-ghost-forcing",
+                    (s, a, b),
+                    StratumId(s, a),
+                    lambda sigma: gamma(sigma, StratumId(s, b)) == undelta_v(gamma(sigma, StratumId(s, a)), a - b),
+                )
 
     # peeling the first class commutes with stripping round-0 ghosts
-    for s in subsets:
-        if not s:
-            continue
-        for a in subsets:
-            if not a <= s:
-                continue
-            for nv in range(len(supp - s) + 1):
-                for v in combinations(sorted(supp - s), nv):
-                    v = frozenset(v)
-                    ok, ce = True, None
-                    dropped = build(r.delete(v))
-                    for sigma in stratum(k, StratumId(s, a, v)).sorted_members:
-                        phi = gamma(sigma, StratumId(s, a))
-                        psi = delta_v(sigma, v)
-                        if not v <= phi.g(0):
-                            ok, ce = False, sigma.key
-                            break
-                        if membership(psi, StratumId(s, a)) == OUT or psi not in dropped:
-                            ok, ce = False, sigma.key
-                            break
-                        if delta_v(phi, v) != gamma(psi, StratumId(s, a)):
-                            ok, ce = False, sigma.key
-                            break
-                    add("diagram-boundary", _fmt(s, a, v), ok, ce)
+    for s in subsets[1:]:  # S nonempty
+        for a in _subsets(s):
+            for v in _subsets(r.support - s):
+                dropped = build(r.delete(v))
+
+                def law(sigma):
+                    phi, psi = gamma(sigma, StratumId(s, a)), delta_v(sigma, v)
+                    return (
+                        v <= phi.g(0)
+                        and membership(psi, StratumId(s, a)) != OUT
+                        and psi in dropped
+                        and delta_v(phi, v) == gamma(psi, StratumId(s, a))
+                    )
+
+                replay("diagram-boundary", (s, a, v), StratumId(s, a, v), law)
 
     return Report(tuple(records))
 
@@ -418,18 +395,14 @@ def strata_partition(k: Complex) -> Report:
     transport maps, independently of that formula.
     """
     r = k.counter
-    act = tuple(sorted(r.active))
     passive = frozenset(r.passive)
-    supp = frozenset(r.support)
-    sids = []
-    for n in range(1, len(act) + 1):
-        for s in combinations(act, n):
-            s = frozenset(s)
-            for j in range(len(s)):
-                for a in combinations(sorted(s), j):
-                    for nv in range(len(supp - s) + 1):
-                        for v in combinations(sorted(supp - s), nv):
-                            sids.append(StratumId(s, a, v))
+    # nonempty first classes, each with its proper subsets as forced ghosts
+    sids = [
+        StratumId(s, a, v)
+        for s in _subsets(r.active)[1:]
+        for a in _subsets(s)[:-1]
+        for v in _subsets(r.support - s)
+    ]
     candidates = {}
     for cls in _classes(k):
         candidates.update(dict.fromkeys(cls, [sid for sid in sids if membership(cls[0], sid) != OUT]))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import CollapseStuck, PreconditionViolation
 from .rounds import RoundCounter
@@ -77,8 +78,6 @@ class CollapseSequence:
 
 
 def _subsets_sorted(elems):
-    from itertools import combinations
-
     elems = sorted(elems)
     for n in range(len(elems) + 1):
         yield from (tuple(c) for c in combinations(elems, n))
@@ -119,8 +118,7 @@ def _collapse_plan(r: RoundCounter, p: int):
             if p not in s or len(s) < 2:
                 continue
             q = min(x for x in s if x != p)
-            inner = [a for a in _subsets_sorted(x for x in s if x not in (p, q))]
-            for a in sorted(inner, key=lambda a: (len(a), a)):
+            for a in _subsets_sorted(x for x in s if x not in (p, q)):
                 run_batch(2, s, a, r.reduce(s, a), q)
         run_batch(3, (p,), (), r.execute((p,)), p)
     return steps, batches
@@ -132,10 +130,7 @@ def collapse_pair(r: RoundCounter, p: int) -> CollapseSequence:
         raise PreconditionViolation(f"process {p} is not in the support")
     steps, batches = _collapse_plan(r, p)
     k = build(r)
-    removed = set()
-    for step in steps:
-        removed.add(step.free)
-        removed.add(step.coface)
+    removed = {s for step in steps for s in (step.free, step.coface)}
     residual = tuple(s for s in k.simplices if s not in removed)
     return CollapseSequence(tuple(steps), residual, tuple(batches))
 

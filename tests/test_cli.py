@@ -178,3 +178,16 @@ def test_failed_collapse_names_step_stage_and_batch(capsys, monkeypatch):
     assert code == 1
     where = "coface is not maximal at step 11 (stage 2, S={0,1,2}, A={})"
     assert out == f"collapse: FAIL (1,1,1) counterexample={where}\n"
+
+
+def test_deep_counter_exits_cleanly():
+    # exit 1 means a failed check; a counter too deep to build is a usage error
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in (["count", "--counter", "1500"], ["build", "--counter", "1200"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "snapcomplex.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error:"), (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -20,6 +21,7 @@ from snapcomplex import (
     verify_incidence,
     verify_stratum_iso,
 )
+from snapcomplex import decomposition
 from snapcomplex.complexes import undelta_v
 from snapcomplex.decomposition import IN_Y, IN_Z, OUT, _slices
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
@@ -317,3 +319,53 @@ def test_union_of_strata_covers_complex():
             if sid.first:
                 union |= stratum(k, sid).members
         assert union == set(k.simplices)
+
+
+def _failures(rep):
+    return [(rec.check, rec.params, rec.counterexample) for rec in rep.records if not rec.ok]
+
+
+def _digest(failures):
+    return hashlib.sha256(repr(failures).encode()).hexdigest()
+
+
+def test_verify_diagrams_reports_broken_ghost_forcing(monkeypatch):
+    # forcing fewer ghosts must re-add the difference at round 0
+    monkeypatch.setattr(decomposition, "undelta_v", lambda tau, ids: tau)
+    rep = verify_diagrams(RoundCounter.of(1, 1, 1))
+    bad = _failures(rep)
+    assert (len(rep.records), len(bad)) == (138, 37)
+    assert bad[0] == ("diagram-ghost-forcing", "{0} {0} {}", "[[[],[0,1,2]]]")
+    assert _digest(bad) == "e1ddb5611cc8244fa09472d499d66eebf964bb4f8e324617423cd8a17a00ac7b"
+
+
+def test_verify_diagrams_reports_broken_boundary_square(monkeypatch):
+    # a delta_v that strips nothing leaves the round-0 ghosts V in place
+    monkeypatch.setattr(decomposition, "delta_v", lambda sigma, ids: sigma)
+    rep = verify_diagrams(RoundCounter.of(1, 1, 0))
+    bad = _failures(rep)
+    assert (len(rep.records), len(bad)) == (44, 16)
+    assert bad[0][:2] == ("diagram-boundary", "{0} {} {1}")
+    assert _digest(bad) == "2f1f6f980041ec4506a3f1dc71d7113dced544b0184cc508e9e6eb4cbb31574d"
+
+
+def test_verify_stratum_iso_catches_swapped_vertex_images(monkeypatch):
+    # two same-coloured vertices trade images under gamma, and rho_sa trades
+    # them back: the images still form a bijection, but faces no longer match
+    r = RoundCounter.of(1, 1, 1)
+    sid = StratumId({0})
+    assert verify_stratum_iso(r, sid)
+    u, v = [s for s in stratum(build(r), sid).sorted_members if s.dim == 0 and s.color == 1]
+    real_gamma, real_rho_sa = decomposition.gamma, decomposition.rho_sa
+    gu, gv = real_gamma(u, sid), real_gamma(v, sid)
+    swap, back = {u: gv, v: gu}, {gv: u, gu: v}
+
+    def rigged_gamma(sigma, s):
+        return swap[sigma] if sigma in swap else real_gamma(sigma, s)
+
+    def rigged_rho_sa(tau, first, ghosts=()):
+        return back[tau] if tau in back else real_rho_sa(tau, first, ghosts)
+
+    monkeypatch.setattr(decomposition, "gamma", rigged_gamma)
+    monkeypatch.setattr(decomposition, "rho_sa", rigged_rho_sa)
+    assert not verify_stratum_iso(r, sid)
