@@ -206,6 +206,9 @@ def cmd_collapse(r: RoundCounter, args) -> int:
         print(payload)
     else:
         print(f"steps={len(seq.steps)} residual={len(seq.residual)} valid={str(bool(ver)).lower()}")
+    if not ver:
+        where = "" if ver.failed_index is None else f" at {seq.locate(ver.failed_index)}"
+        print(f"error: {ver.reason}{where}", file=sys.stderr)
     return 0 if ver else 1
 
 

@@ -98,18 +98,19 @@ def build(r: RoundCounter) -> Complex:
     tops = sorted(enumerate_top(r), key=lambda s: s.pairs)
     facets = {}
     queue = list(tops)
-    seen = set(tops)
+    seen = {s: s for s in tops}  # each simplex -> its one canonical object
     while queue:
         sigma = queue.pop()
-        faces = sorted(
+        faces = []
+        for tau in sorted(
             (witness.ghost_one(sigma, p) for p in sorted(sigma.active_set)),
             key=lambda s: s.pairs,
-        )
-        facets[sigma] = tuple(faces)
-        for tau in faces:
+        ):
             if tau not in seen:
-                seen.add(tau)
+                seen[tau] = tau
                 queue.append(tau)
+            faces.append(seen[tau])
+        facets[sigma] = tuple(faces)
     simplices = tuple(sorted(seen, key=lambda s: (s.dim, s.pairs)))
     cofacets = {s: [] for s in simplices}
     for sigma, faces in facets.items():

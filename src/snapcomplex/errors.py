@@ -10,8 +10,12 @@ class PreconditionViolation(ValueError):
 
 
 class CollapseStuck(RuntimeError):
-    """The collapse scheduler could not find a legal elementary collapse."""
+    """The collapse scheduler could not find a legal elementary collapse.
 
-    def __init__(self, message, alive=()):
-        super().__init__(message)
+    ``stage`` is the scheduler stage that got stuck (4 is the greedy tail)
+    and is named in the message."""
+
+    def __init__(self, stage, message, alive=()):
+        super().__init__(f"stage {stage}: {message}")
+        self.stage = stage
         self.alive = tuple(alive)

@@ -13,12 +13,17 @@ stratum pair by stratum pair:
 Each pair is simplicially a (boundary piece, whole complex) pair of a
 strictly smaller counter, so its schedule comes from the recursion and is
 transported back through the stratum isomorphisms.  Within stages 1 and 2
-the batches run in never-decreasing |A| order.  An independent replay
-validator is the arbiter of legality.
+the batches run in never-decreasing |A| order.  The recursion meets the same
+(sub-counter, p) pairs many times, so one top-level ``collapse_pair`` call
+memoizes each plan and transports it once.  ``collapse_to_point`` finishes
+with a greedy tail that keeps a count of surviving cofacets and a heap of
+free faces in key order, re-checking only faces of each removed pair.  An
+independent replay validator is the arbiter of legality.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from itertools import combinations
@@ -83,10 +88,19 @@ def _subsets_sorted(elems):
         yield from (tuple(c) for c in combinations(elems, n))
 
 
-def _collapse_plan(r: RoundCounter, p: int):
-    """Steps removing the simplices with round-0 ghosts empty or exactly {p}."""
+def _collapse_plan(r: RoundCounter, p: int, memo: dict):
+    """Steps removing the simplices with round-0 ghosts empty or exactly {p}.
+
+    ``memo`` maps (counter, p) to its plan, so each distinct sub-plan is
+    built and transported once per top-level call.  An entry is stored
+    before it is filled; that is safe because every sub-plan is for a
+    strictly smaller counter.
+    """
+    if (r, p) in memo:
+        return memo[r, p]
     steps = []
     batches = []
+    memo[r, p] = steps, batches
     if not r.active:
         supp = tuple(sorted(r.support))
         free = WitnessTable(((tuple(q for q in supp if q != p), (p,)),))
@@ -97,7 +111,7 @@ def _collapse_plan(r: RoundCounter, p: int):
 
     def run_batch(stage, s, a, sub_r, sub_p):
         start = len(steps)
-        sub_steps, _ = _collapse_plan(sub_r, sub_p)
+        sub_steps, _ = _collapse_plan(sub_r, sub_p, memo)
         for st in sub_steps:
             steps.append(CollapseStep(rho_sa(st.free, s, a), rho_sa(st.coface, s, a)))
         batches.append(CollapseBatch(stage, s, a, start, len(steps)))
@@ -128,7 +142,7 @@ def collapse_pair(r: RoundCounter, p: int) -> CollapseSequence:
     """Collapse away the interior and the interior of the p-boundary piece."""
     if p not in r.support:
         raise PreconditionViolation(f"process {p} is not in the support")
-    steps, batches = _collapse_plan(r, p)
+    steps, batches = _collapse_plan(r, p, {})
     k = build(r)
     removed = {s for step in steps for s in (step.free, step.coface)}
     residual = tuple(s for s in k.simplices if s not in removed)
@@ -140,7 +154,12 @@ def collapse_to_point(r: RoundCounter) -> CollapseSequence:
 
     The first round removes the interior and one boundary piece via the
     staged schedule; the remaining boundary part is finished by a greedy
-    free-face search in canonical key order, validated by replay.
+    search that always removes the free face of smallest key, validated by
+    replay.  The search is incremental: it counts the surviving cofacets of
+    every survivor and keeps the free faces in a heap, so a step re-checks
+    only the faces of the pair it removed, and a heap entry that is no
+    longer free is dropped when it comes up.  A survivor set without a free
+    face raises ``CollapseStuck`` naming stage 4.
     """
     k = build(r)
     if len(k.simplices) <= 2:
@@ -150,26 +169,45 @@ def collapse_to_point(r: RoundCounter) -> CollapseSequence:
     steps = list(first.steps)
     batches = list(first.batches)
     alive = set(first.residual)
+    # live[s] counts the surviving cofacets of s; s is free when it has one
+    # and that one has none.  The survivors stay closed under faces.
+    live = {s: sum(c in alive for c in k.cofacets[s]) for s in alive}
 
-    def alive_cofacets(s):
-        return [c for c in k.cofacets[s] if c in alive]
+    def free_coface(s):
+        if live[s] != 1:
+            return None
+        c = next(c for c in k.cofacets[s] if c in alive)
+        return None if live[c] else c
 
+    by_key = {s.key: s for s in alive}
+    heap = [key for key, s in by_key.items() if free_coface(s) is not None]
+    heapq.heapify(heap)
     start = len(steps)
     while len(alive) > 2:
-        best = None
-        for s in sorted(alive, key=lambda x: x.key):
-            cof = alive_cofacets(s)
-            if len(cof) == 1 and not alive_cofacets(cof[0]):
-                best = CollapseStep(s, cof[0])
+        # smallest key that is still a free face; stale entries are dropped
+        while heap:
+            s = by_key[heapq.heappop(heap)]
+            if s in alive and (c := free_coface(s)) is not None:
                 break
-        if best is None:
+        else:
             raise CollapseStuck(
+                4,
                 f"no free face among {len(alive)} surviving simplices of {r!r}",
                 sorted(s.key for s in alive),
             )
-        steps.append(best)
-        alive.discard(best.free)
-        alive.discard(best.coface)
+        steps.append(CollapseStep(s, c))
+        alive.discard(s)
+        alive.discard(c)
+        for x in (s, c):
+            for f in k.facets[x]:
+                live[f] -= 1
+        # Only faces of s and c can become free.  Any other face keeps its
+        # surviving cofacets; if its one cofacet y was a facet of s or c, it
+        # lies in a second facet of that simplex too (a codimension-2 face
+        # lies in exactly two facets), which survives unless it is s itself.
+        for f in {*k.facets[s], *k.facets[c]}:
+            if f in alive and free_coface(f) is not None:
+                heapq.heappush(heap, f.key)
     if start != len(steps):
         batches.append(CollapseBatch(4, (), (), start, len(steps)))
     residual = tuple(s for s in k.simplices if s in alive)

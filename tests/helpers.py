@@ -4,8 +4,10 @@ The oracles deliberately re-derive results along different routes than the
 library: stabilization via the per-layer move-set table and via trace
 truncation, canonical form via a single forward-merging pass and via the
 kept-layer index list, executions via unpruned sequence filtering.  The
-stratum transport maps keep their validating bodies here.  Every oracle
-builds its result with the validating ``WitnessTable`` constructor.
+stratum transport maps keep their validating bodies here.  Every table
+oracle builds its result with the validating ``WitnessTable`` constructor.
+The collapse schedule keeps its unmemoized plan and its greedy tail that
+re-sorts the survivors at every step.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from snapcomplex import RoundCounter, WitnessTable, from_trace, trace_form
-from snapcomplex.decomposition import IN_Y, IN_Z, OUT
+from snapcomplex.decomposition import IN_Y, IN_Z, OUT, rho_sa
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
+from snapcomplex.topology import CollapseBatch, CollapseStep, _subsets_sorted
 
 # ---------------------------------------------------------------------------
 # Counter corpora
@@ -279,6 +282,70 @@ def undelta_v_oracle(tau: WitnessTable, ids) -> WitnessTable:
     v = frozenset(ids)
     w0, g0 = tau.pairs[0]
     return WitnessTable(((w0, tuple(sorted(set(g0) | v))),) + tau.pairs[1:])
+
+
+def collapse_plan_oracle(r: RoundCounter, p: int):
+    """The collapse plan rebuilt from scratch at every level, with no memo."""
+    steps = []
+    batches = []
+    if not r.active:
+        supp = tuple(sorted(r.support))
+        free = WitnessTable(((tuple(q for q in supp if q != p), (p,)),))
+        top = WitnessTable(((supp, ()),))
+        steps.append(CollapseStep(free, top))
+        batches.append(CollapseBatch(0, (), (), 0, 1))
+        return steps, batches
+
+    def run_batch(stage, s, a, sub_r, sub_p):
+        start = len(steps)
+        sub_steps, _ = collapse_plan_oracle(sub_r, sub_p)
+        for st in sub_steps:
+            steps.append(CollapseStep(rho_sa(st.free, s, a), rho_sa(st.coface, s, a)))
+        batches.append(CollapseBatch(stage, s, a, start, len(steps)))
+
+    act = sorted(r.active)
+    stage1 = []
+    for s in _subsets_sorted(act):
+        if not s or p in s:
+            continue
+        for a in _subsets_sorted(s):
+            if len(a) < len(s):
+                stage1.append((s, a))
+    for s, a in sorted(stage1, key=lambda sa: (len(sa[1]), sa[0], sa[1])):
+        run_batch(1, s, a, r.reduce(s, a), p)
+
+    if p in r.active:
+        for s in _subsets_sorted(act):
+            if p not in s or len(s) < 2:
+                continue
+            q = min(x for x in s if x != p)
+            for a in _subsets_sorted(x for x in s if x not in (p, q)):
+                run_batch(2, s, a, r.reduce(s, a), q)
+        run_batch(3, (p,), (), r.execute((p,)), p)
+    return steps, batches
+
+
+def greedy_tail_oracle(k, survivors) -> list:
+    """Greedy collapse steps that re-sort every survivor by key at each step."""
+    alive = set(survivors)
+
+    def alive_cofacets(s):
+        return [c for c in k.cofacets[s] if c in alive]
+
+    steps = []
+    while len(alive) > 2:
+        best = None
+        for s in sorted(alive, key=lambda x: x.key):
+            cof = alive_cofacets(s)
+            if len(cof) == 1 and not alive_cofacets(cof[0]):
+                best = CollapseStep(s, cof[0])
+                break
+        if best is None:
+            raise AssertionError(f"greedy oracle is stuck with {len(alive)} survivors")
+        steps.append(best)
+        alive.discard(best.free)
+        alive.discard(best.coface)
+    return steps
 
 
 def betti_of_simplex_set(simplices) -> tuple:

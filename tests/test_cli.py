@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from snapcomplex import RoundCounter
 from snapcomplex.cli import main
 
 
@@ -173,11 +174,17 @@ def test_failed_collapse_names_step_stage_and_batch(capsys, monkeypatch):
         steps[11], steps[12] = steps[12], steps[11]
         return CollapseSequence(tuple(steps), seq.residual, seq.batches)
 
+    assert run(capsys, "collapse", "--counter", "1,1,1") == (0, "steps=24 residual=2 valid=true\n", "")
     monkeypatch.setattr(topology, "collapse_to_point", swapped)
     code, out, _ = run(capsys, "verify", "--counter", "1,1,1", "--checks", "collapse")
     assert code == 1
     where = "coface is not maximal at step 11 (stage 2, S={0,1,2}, A={})"
     assert out == f"collapse: FAIL (1,1,1) counterexample={where}\n"
+    # the collapse command keeps its stdout and names the step on stderr
+    assert run(capsys, "collapse", "--counter", "1,1,1") == (1, "steps=24 residual=2 valid=false\n", f"error: {where}\n")
+    code, out, err = run(capsys, "collapse", "--counter", "1,1,1", "--format", "json")
+    assert (code, err) == (1, f"error: {where}\n")
+    assert out == swapped(RoundCounter.of(1, 1, 1)).to_json() + "\n"
 
 
 def test_deep_counter_exits_cleanly():

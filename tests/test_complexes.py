@@ -95,6 +95,17 @@ def test_build_members_satisfy_membership_and_closure():
         assert len(k.tops) == f_top([v for _, v in r])
 
 
+def test_build_keeps_one_object_per_simplex():
+    for values in [(1, 1, 1), (2, 1, 1)]:
+        k = build(RoundCounter.of(*values))
+        canonical = {s: s for s in k.simplices}
+        for table in (k.facets, k.cofacets):
+            assert len(table) == len(k.simplices)
+            for sigma, near in table.items():
+                assert sigma is canonical[sigma]
+                assert all(tau is canonical[tau] for tau in near), (values, sigma)
+
+
 def test_vertices_examples():
     top = WitnessTable([({0, 1}, ()), ({0, 1}, ())])
     assert keys(vertices(top)) == {
@@ -273,6 +284,8 @@ def test_verify_bytes_pinned(capsys):
 COLLAPSE_SHA256 = {
     "2,1,1": "1d335e03698c8d9f74fa2b212c931e9cff954f356fc14b710ae297677656c8bf",
     "1,1,1,1": "ec3f839df8e8d8b49f34b1fb2c968ccea5fee7f51e3132bad498bb6b18560011",
+    "2,2,2": "95cbd4d34c5ebd03a48d76339696ed2311fa78ae6924b1df770c5633503c978d",
+    "1,1,1,1,1": "a2f737eedeff82333580d140d2db6a244f616588d1c0d4c05085216fc9c5280a",
 }
 
 

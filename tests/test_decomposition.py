@@ -349,6 +349,35 @@ def test_verify_diagrams_reports_broken_boundary_square(monkeypatch):
     assert _digest(bad) == "2f1f6f980041ec4506a3f1dc71d7113dced544b0184cc508e9e6eb4cbb31574d"
 
 
+def test_verify_diagrams_boundary_law_needs_its_first_and_last_terms(monkeypatch):
+    r = RoundCounter.of(1, 1, 0)
+    k = build(r)
+    real_gamma, real_delta_v = decomposition.gamma, decomposition.delta_v
+
+    # delta_v strips V from simplices of the complex but leaves images under
+    # gamma alone, so only delta_v(phi, v) == gamma(psi, ...) sees it
+    monkeypatch.setattr(decomposition, "delta_v", lambda sigma, ids: real_delta_v(sigma, ids) if sigma in k else sigma)
+    rep = verify_diagrams(r)
+    bad = _failures(rep)
+    assert (len(rep.records), len(bad)) == (44, 16)
+    assert bad[0] == ("diagram-boundary", "{0} {} {1}", "[[[0],[1,2]],[[0],[]]]")
+    assert _digest(bad) == "ed41d087768d00400e96c67c507762bcd938fb3ba3581aa28b4b0ad25b111dae"
+    monkeypatch.setattr(decomposition, "delta_v", real_delta_v)
+
+    # gamma also drops every round-0 ghost outside S; the square still
+    # commutes, so only v <= phi.g(0) sees it (without it delta_v raises)
+    def rigged_gamma(sigma, sid):
+        image = real_gamma(sigma, sid)
+        return real_delta_v(image, image.g(0) - sid.first)
+
+    monkeypatch.setattr(decomposition, "gamma", rigged_gamma)
+    rep = verify_diagrams(r)
+    bad = [f for f in _failures(rep) if f[0] == "diagram-boundary"]
+    assert (sum(rec.check == "diagram-boundary" for rec in rep.records), len(bad)) == (24, 16)
+    assert bad[0] == ("diagram-boundary", "{0} {} {1}", "[[[],[0,1,2]]]")
+    assert _digest(bad) == "2f1f6f980041ec4506a3f1dc71d7113dced544b0184cc508e9e6eb4cbb31574d"
+
+
 def test_verify_stratum_iso_catches_swapped_vertex_images(monkeypatch):
     # two same-coloured vertices trade images under gamma, and rho_sa trades
     # them back: the images still form a bijection, but faces no longer match

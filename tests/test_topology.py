@@ -13,9 +13,10 @@ from snapcomplex import (
     homology_gf2,
     validate_collapse,
 )
-from snapcomplex.errors import PreconditionViolation
-from snapcomplex.topology import CollapseStep, gf2_rank
-from tests.helpers import betti_of_simplex_set
+from snapcomplex import topology
+from snapcomplex.errors import CollapseStuck, PreconditionViolation
+from snapcomplex.topology import CollapseBatch, CollapseStep, gf2_rank
+from tests.helpers import betti_of_simplex_set, collapse_plan_oracle, counters_with, greedy_tail_oracle
 
 
 def test_collapse_pair_two_process():
@@ -161,3 +162,54 @@ def test_collapse_sequence_json():
     assert len(obj["steps"]) == 3
     assert set(obj["steps"][0]) == {"free", "coface"}
     assert len(obj["residual"]) == 2
+
+
+def _oracle_corpus():
+    return counters_with(3, 4) + [RoundCounter.of(1, 1, 1, 1)]
+
+
+def test_collapse_pair_matches_unmemoized_plan():
+    for r in _oracle_corpus():
+        for p in sorted(r.support):
+            seq = collapse_pair(r, p)
+            steps, batches = collapse_plan_oracle(r, p)
+            assert seq.steps == tuple(steps), (r, p)
+            assert seq.batches == tuple(batches), (r, p)
+
+
+def test_collapse_to_point_matches_resorting_greedy_tail():
+    for r in _oracle_corpus():
+        k = build(r)
+        seq = collapse_to_point(r)
+        if len(k.simplices) <= 2:
+            assert seq.steps == ()
+            continue
+        first = collapse_pair(r, min(r.support))
+        tail = greedy_tail_oracle(k, first.residual)
+        assert seq.steps == first.steps + tuple(tail), r
+        want = first.batches
+        if tail:
+            want += (CollapseBatch(4, (), (), len(first.steps), len(seq.steps)),)
+        assert seq.batches == want, r
+
+
+def test_greedy_tail_alone_matches_resorting_oracle(monkeypatch):
+    # an empty plan hands the tail the whole complex, up to dimension 3
+    for values in [(0, 0, 0), (1, 1, 1), (2, 1, 1), (0, 0, 0, 0), (1, 1, 1, 1)]:
+        k = build(RoundCounter.of(*values))
+        monkeypatch.setattr(topology, "collapse_pair", lambda r, p: CollapseSequence((), k.simplices, ()))
+        seq = collapse_to_point(k.counter)
+        assert seq.steps == tuple(greedy_tail_oracle(k, k.simplices)), values
+        assert validate_collapse(k, seq), values
+
+
+def test_greedy_tail_reports_its_stage(monkeypatch):
+    # two vertices and the empty simplex, a 0-sphere, have no free face
+    r = RoundCounter.of(1, 1)
+    k = build(r)
+    sphere = (k.by_dim[-1][0], k.by_dim[0][0], k.by_dim[0][-1])
+    monkeypatch.setattr(topology, "collapse_pair", lambda r, p: CollapseSequence((), sphere, ()))
+    with pytest.raises(CollapseStuck) as info:
+        collapse_to_point(r)
+    assert info.value.stage == 4
+    assert str(info.value).startswith("stage 4: no free face among 3 surviving simplices")
