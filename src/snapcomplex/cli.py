@@ -80,9 +80,8 @@ def _structure(k):
 def _run_check(name: str, r: RoundCounter) -> CheckRecord:
     k = complexes.build(r)
     if name in STRUCTURAL_FIELDS:
-        rep = _structure(k)
-        ok = all(getattr(rep, field) for field in STRUCTURAL_FIELDS[name])
-        return CheckRecord(name, r.text(), ok, None if ok else rep.counterexample)
+        bad = [ce for field, ce in _structure(k)._failures if field in STRUCTURAL_FIELDS[name]]
+        return CheckRecord(name, r.text(), not bad, bad[0] if bad else None)
     if name == "incidence":
         rep = decomposition.verify_incidence(r)
         bad = rep.first_failure
@@ -164,16 +163,15 @@ def cmd_verify(r: RoundCounter, args) -> int:
 
 def cmd_build(r: RoundCounter, args) -> int:
     k = complexes.build(r)
-    payload = complexes.complex_to_json(k)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    if args.format == "json" and not args.out:
-        print(payload)
-    else:
-        print(f"counter={r.text()}")
-        print("f_vector=" + ",".join(str(n) for n in k.f_vector))
-        print(f"simplices={len(k.simplices)} tops={len(k.tops)} dim={k.dim}")
+            fh.write(complexes.complex_to_json(k) + "\n")
+    elif args.format == "json":
+        print(complexes.complex_to_json(k))
+        return 0
+    print(f"counter={r.text()}")
+    print("f_vector=" + ",".join(str(n) for n in k.f_vector))
+    print(f"simplices={len(k.simplices)} tops={len(k.tops)} dim={k.dim}")
     return 0
 
 
@@ -198,12 +196,11 @@ def cmd_collapse(r: RoundCounter, args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     ver = topology.validate_collapse(k, seq)
-    payload = seq.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+            fh.write(seq.to_json() + "\n")
     if args.format == "json" and not args.out:
-        print(payload)
+        print(seq.to_json())
     else:
         print(f"steps={len(seq.steps)} residual={len(seq.residual)} valid={str(bool(ver)).lower()}")
     if not ver:

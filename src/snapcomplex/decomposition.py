@@ -164,10 +164,10 @@ def rho(tau: WitnessTable, first: Iterable[int]) -> WitnessTable:
     a nonempty layer 1).
     """
     s = frozenset(first)
-    if not s <= tau.supp:
-        raise PreconditionViolation(f"{sorted(s)} is not within the support")
     pairs = tau.pairs
     v0, h0 = pairs[0]
+    if not s.issubset(v0 + h0):
+        raise PreconditionViolation(f"{sorted(s)} is not within the support")
     if s.intersection(v0):
         out = (
             (tuple(sorted(s.intersection(h0).union(v0))), tuple(p for p in h0 if p not in s)),
@@ -257,8 +257,9 @@ def verify_incidence(r: RoundCounter) -> Report:
     pairs = sorted(x, key=lambda sa: (sorted(sa[0]), sorted(sa[1])))
     for s, a in pairs:
         for tt, b in pairs:
+            params = _fmt(s, a, tt, b)
             contained = not _implies_containment(s, a, tt, b) or x[(s, a)] <= x[(tt, b)]
-            add("containment", _fmt(s, a, tt, b), contained)
+            add("containment", params, contained)
             if s == tt:
                 want = x[(s, a | b)]
             elif s < tt:
@@ -267,10 +268,10 @@ def verify_incidence(r: RoundCounter) -> Report:
                 want = x[(s, tt | a)]
             else:
                 want = z[s | tt]
-            add("intersection", _fmt(s, a, tt, b), x[(s, a)] & x[(tt, b)] == want)
+            add("intersection", params, x[(s, a)] & x[(tt, b)] == want)
             add(
                 "yz-lemma",
-                _fmt(s, a, tt, b),
+                params,
                 (z[s] & z[tt] == z[s | tt])
                 and (y[(s, a)] & z[tt] == y.get((s, a | tt), frozenset()))
                 and (y[(s, a)] & y[(tt, b)] == (y[(s, a | b)] if s == tt else frozenset())),

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from snapcomplex import RoundCounter
 from snapcomplex.cli import main
 
@@ -162,6 +164,26 @@ def test_verify_runs_structural_checks_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_each_structural_check_shows_its_own_counterexample(capsys, monkeypatch):
+    from snapcomplex import cli, complexes
+
+    k = complexes.build(RoundCounter.of(1, 1))
+    twin = k.tops[0]
+    rigged = complexes.Complex(k.counter, k.simplices + (twin,), k.tops, k.facets, k.cofacets)
+    monkeypatch.setattr(complexes, "build", lambda r: rigged)
+    monkeypatch.setattr(complexes, "_dual_graph_connected", lambda _: False)
+    cli._structure.cache_clear()
+    code, out, _ = run(capsys, "verify", "--counter", "1,1", "--checks", "connected,reconstruction,pure")
+    assert code == 1
+    assert out == (
+        "connected: FAIL (1,1) counterexample=dual graph disconnected\n"
+        f"reconstruction: FAIL (1,1) counterexample=reconstruction: {twin.key} vs {twin.key}\n"
+        "pure: ok (1,1)\n"
+    )
+    assert complexes.structural_checks(rigged).counterexample == "dual graph disconnected"
+    cli._structure.cache_clear()
+
+
 def test_failed_collapse_names_step_stage_and_batch(capsys, monkeypatch):
     from snapcomplex import topology
     from snapcomplex.topology import CollapseSequence
@@ -198,3 +220,22 @@ def test_deep_counter_exits_cleanly():
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stderr.startswith("error:"), (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, argv
+
+
+@pytest.mark.slow
+def test_verify_and_lattice_vertex_sets_on_large_counters():
+    from snapcomplex import complexes
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for text in ("2,2,2,1", "1,1,1,1,1", "3,3,3"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "snapcomplex.cli", "verify", "--counter", text],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+        assert proc.returncode == 0, (text, proc.stdout, proc.stderr)
+        assert "FAIL" not in proc.stdout, text
+    for values in ((2, 2, 2, 1), (3, 3, 3)):
+        k = complexes.build.__wrapped__(RoundCounter.of(*values))  # not kept in the build cache
+        verts = complexes._vertex_sets(k)
+        assert all(verts[s] == complexes.vertices(s) for s in k.simplices), values

@@ -12,6 +12,7 @@ from snapcomplex import (
     chromatic_check,
     complex_to_dot,
     complex_to_json,
+    complexes,
     cone_check,
     delta_v,
     enumerate_top,
@@ -21,11 +22,15 @@ from snapcomplex import (
     path_profile,
     structural_checks,
     vertices,
+    witness,
 )
-from snapcomplex.complexes import expected_endpoint, has_face
+from snapcomplex.complexes import Complex, expected_endpoint, has_face
 from snapcomplex.errors import PreconditionViolation
 from snapcomplex.topology import collapse_to_point
-from tests.helpers import enumerate_top_brute, m_count_brute
+from tests.helpers import counters_with, enumerate_top_brute, m_count_brute
+
+# the structural corpus of the acceptance suite
+CORPUS_STRUCT = counters_with(3, 5) + [RoundCounter.of(1, 1, 1, 1)]
 
 
 def keys(simplices):
@@ -187,6 +192,71 @@ def test_cone_examples():
     assert cone_check(RoundCounter.of(1, 1, 0), 2)
     with pytest.raises(PreconditionViolation):
         cone_check(RoundCounter.of(1, 1), 1)
+
+
+def _fields(rep):
+    return (rep.pure, rep.pseudomanifold, rep.boundary_matches, rep.strongly_connected, rep.reconstruction_injective)
+
+
+def test_structural_checks_catch_a_ridge_with_three_cofaces():
+    k = build(RoundCounter.of(1, 1, 1))
+    ridge = next(e for e in k.by_dim[1] if len(k.cofacets[e]) == 2)
+    third = next(t for t in k.tops if t not in k.cofacets[ridge])
+    cofacets = dict(k.cofacets)
+    cofacets[ridge] += (third,)
+    rep = structural_checks(Complex(k.counter, k.simplices, k.tops, k.facets, cofacets))
+    assert _fields(rep) == (True, False, True, True, True)
+    assert rep.counterexample == f"pseudomanifold: {ridge.key} has 3 cofaces"
+    assert not rep.ok
+
+
+def test_structural_checks_catch_two_simplices_with_one_vertex_set():
+    # a face listed twice, as a build without face dedup would list it
+    k = build(RoundCounter.of(1, 1, 1))
+    twin = k.by_dim[1][0]
+    rep = structural_checks(Complex(k.counter, k.simplices + (twin,), k.tops, k.facets, k.cofacets))
+    assert _fields(rep) == (True, True, True, True, False)
+    assert rep.counterexample == f"reconstruction: {twin.key} vs {twin.key}"
+
+
+def test_cone_check_catches_swapped_same_colour_images(monkeypatch):
+    r = RoundCounter.of(1, 1, 0)
+    k = build(r)
+    u, v = [s for s in k.by_dim[0] if s.color == 0 and 2 in s.g(0)]
+    real = complexes.delta_v
+
+    def swapped(sigma, ids):
+        return real({u: v, v: u}.get(sigma, sigma), ids)
+
+    assert cone_check(r, 2)
+    monkeypatch.setattr(complexes, "delta_v", swapped)
+    # the images still cover the base once each, but the edges at u and v
+    # no longer map onto their faces
+    assert not cone_check(r, 2)
+
+
+def test_checks_after_build_never_ghost(monkeypatch):
+    def no_ghost(sigma, ghosted):
+        raise AssertionError(f"ghosting {sigma!r} after build")
+
+    for r in CORPUS_STRUCT:
+        k = build(r)
+        for p in r.passive:
+            build(r.delete((p,)))
+        with monkeypatch.context() as m:
+            m.setattr(witness, "ghost", no_ghost)
+            assert structural_checks(k).ok, r
+            for p in sorted(r.passive):
+                assert cone_check(r, p), (r, p)
+
+
+def test_lattice_vertex_sets_equal_ghosted_vertices():
+    for r in CORPUS_STRUCT:
+        k = build(r)
+        verts = complexes._vertex_sets(k)
+        assert len(verts) == len(k.simplices)
+        for s in k.simplices:
+            assert verts[s] == vertices(s), (r, s)
 
 
 def test_chromatic_examples():
