@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import InvalidArgument, PreconditionViolation
-from .rounds import RoundCounter
+from .rounds import RoundCounter, is_natural
 from . import witness
 from .witness import WitnessTable
 
@@ -112,10 +112,12 @@ def build(r: RoundCounter) -> Complex:
         facets[sigma] = tuple(faces)
     simplices = tuple(sorted(seen, key=lambda s: (s.dim, s.pairs)))
     cofacets = {s: [] for s in simplices}
-    for sigma, faces in facets.items():
-        for tau in faces:
+    # the cofacets of a simplex share one dimension, so walking the simplices
+    # in (dim, pairs) order appends each list already sorted by pairs
+    for sigma in simplices:
+        for tau in facets[sigma]:
             cofacets[tau].append(sigma)
-    cofacets = {s: tuple(sorted(cof, key=lambda x: x.pairs)) for s, cof in cofacets.items()}
+    cofacets = {s: tuple(cof) for s, cof in cofacets.items()}
     return Complex(r, simplices, tuple(tops), facets, cofacets)
 
 
@@ -144,7 +146,7 @@ class Slice:
     parent: Complex
     members: frozenset
 
-    @property
+    @cached_property
     def sorted_members(self) -> tuple:
         return tuple(sorted(self.members, key=lambda s: (s.dim, s.pairs)))
 
@@ -183,7 +185,7 @@ def undelta_v(tau: WitnessTable, ids: Iterable[int]) -> WitnessTable:
     or ghosts already, never witnessed at round 0 (P3)."""
     v = frozenset(ids)
     w0, g0 = tau.pairs[0]
-    if any(not isinstance(p, int) or p < 0 for p in v):
+    if not all(map(is_natural, v)):
         raise InvalidArgument(f"process ids must be nonnegative integers: {sorted(v, key=repr)}")
     if v.intersection(w0):
         raise InvalidArgument(f"{sorted(v.intersection(w0))} is witnessed at round 0")
@@ -407,12 +409,13 @@ def chromatic_check(r: RoundCounter) -> bool:
 
 
 def complex_to_json_obj(k: Complex) -> dict:
+    key = {s: s.key for s in k.simplices}  # each key once per export
     return {
         "counter": {str(p): v for p, v in k.counter},
         "f_vector": list(k.f_vector),
-        "tops": [s.key for s in k.tops],
+        "tops": [key[s] for s in k.tops],
         "simplices": [
-            {"key": s.key, "dim": s.dim, "facets": [f.key for f in k.facets[s]]}
+            {"key": key[s], "dim": s.dim, "facets": [key[f] for f in k.facets[s]]}
             for s in k.simplices
         ],
     }
@@ -425,15 +428,16 @@ def complex_to_json(k: Complex) -> str:
 def complex_to_dot(k: Complex) -> str:
     """Dual graph in DOT form; tops touching the boundary are flagged."""
     adj = _dual_graph_adjacency(k)
+    key = {s: s.key for s in k.tops}  # each key once per export
     lines = ["graph dual {"]
     for s in k.tops:
         on_boundary = any(f.g(0) for f in k.facets[s])
         attr = " [boundary=true]" if on_boundary else ""
-        lines.append(f'  "{_dot_escape(s.key)}"{attr};')
+        lines.append(f'  "{_dot_escape(key[s])}"{attr};')
     seen = set()
     for s in k.tops:
         for nb in adj[s]:
-            pair = tuple(sorted((s.key, nb.key)))
+            pair = tuple(sorted((key[s], key[nb])))
             if pair not in seen:
                 seen.add(pair)
                 lines.append(f'  "{_dot_escape(pair[0])}" -- "{_dot_escape(pair[1])}";')

@@ -14,6 +14,11 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import InvalidArgument, PreconditionViolation
 
 
+def is_natural(x) -> bool:
+    """A nonnegative int that is not a bool: a process id or a round count."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 class Analysis(NamedTuple):
     support: frozenset
     active: frozenset
@@ -29,7 +34,7 @@ class RoundCounter:
     def __init__(self, values: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = dict(values)
         for pid, val in items.items():
-            if not isinstance(pid, int) or not isinstance(val, int) or pid < 0 or val < 0:
+            if not (is_natural(pid) and is_natural(val)):
                 raise InvalidArgument(f"bad counter entry {pid!r}: {val!r}")
         self._entries = tuple(sorted(items.items()))
         self._map = dict(self._entries)

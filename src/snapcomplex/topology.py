@@ -179,21 +179,21 @@ def collapse_to_point(r: RoundCounter) -> CollapseSequence:
         c = next(c for c in k.cofacets[s] if c in alive)
         return None if live[c] else c
 
-    by_key = {s.key: s for s in alive}
-    heap = [key for key, s in by_key.items() if free_coface(s) is not None]
+    key = {s: s.key for s in alive}  # each survivor's key, computed once
+    heap = [(key[s], s) for s in alive if free_coface(s) is not None]
     heapq.heapify(heap)
     start = len(steps)
     while len(alive) > 2:
         # smallest key that is still a free face; stale entries are dropped
         while heap:
-            s = by_key[heapq.heappop(heap)]
+            _, s = heapq.heappop(heap)
             if s in alive and (c := free_coface(s)) is not None:
                 break
         else:
             raise CollapseStuck(
                 4,
                 f"no free face among {len(alive)} surviving simplices of {r!r}",
-                sorted(s.key for s in alive),
+                sorted(key[s] for s in alive),
             )
         steps.append(CollapseStep(s, c))
         alive.discard(s)
@@ -207,7 +207,7 @@ def collapse_to_point(r: RoundCounter) -> CollapseSequence:
         # lies in exactly two facets), which survives unless it is s itself.
         for f in {*k.facets[s], *k.facets[c]}:
             if f in alive and free_coface(f) is not None:
-                heapq.heappush(heap, f.key)
+                heapq.heappush(heap, (key[f], f))
     if start != len(steps):
         batches.append(CollapseBatch(4, (), (), start, len(steps)))
     residual = tuple(s for s in k.simplices if s in alive)

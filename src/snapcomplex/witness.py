@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InvalidArgument, PreconditionViolation
-from .rounds import RoundCounter
+from .rounds import RoundCounter, is_natural
 
 PRESTRUCTURE = "prestructure"
 STABLE = "stable"
@@ -58,7 +57,7 @@ def _normalize_pairs(pairs) -> tuple:
         w = tuple(sorted(set(w)))
         g = tuple(sorted(set(g)))
         for p in w + g:
-            if not isinstance(p, int) or p < 0:
+            if not is_natural(p):
                 raise InvalidArgument(f"process ids must be nonnegative integers: {entry!r}")
         out.append((w, g))
     return tuple(out)
@@ -105,10 +104,14 @@ def kind_of(pairs) -> str:
 class WitnessTable:
     """A validated witness prestructure in table form.
 
-    ``pairs`` is the canonical encoding: a tuple of (sorted W tuple, sorted G
-    tuple) pairs.  Equality, hashing, and the JSON key all use it, so equal
-    encodings are the same simplex.
+    A table holds only its pairs and its class.  ``pairs`` is the canonical
+    encoding: a tuple of (sorted W tuple, sorted G tuple) pairs.  Equality,
+    hashing, and the JSON key all use it, so equal encodings are the same
+    simplex.  Support, ghost and active sets, dimension, traces and key are
+    read off the layers on demand; nothing is cached on the instance.
     """
+
+    __slots__ = ("pairs", "classification")
 
     def __init__(self, pairs):
         pairs = _normalize_pairs(pairs)
@@ -156,24 +159,27 @@ class WitnessTable:
 
     # -- derived data --------------------------------------------------------
 
-    @cached_property
+    @property
     def supp(self) -> frozenset:
         return self.r_set(0)
 
-    @cached_property
+    @property
     def ghost_set(self) -> frozenset:
-        out = set()
-        for _, g in self.pairs:
-            out.update(g)
-        return frozenset(out)
+        return frozenset(p for _, g in self.pairs for p in g)
 
-    @cached_property
+    @property
     def active_set(self) -> frozenset:
-        return self.supp - self.ghost_set
+        # G_0 avoids W_0 (P3) and every later G_i lies inside it (P1)
+        return frozenset(self.pairs[0][0]).difference(*(g for _, g in self.pairs[1:]))
 
     @property
     def dim(self) -> int:
-        return len(self.active_set) - 1
+        """|A| - 1, where |A| = |W_0| - sum of |G_i| over i >= 1: the later
+        ghost layers are disjoint (P2) subsets of W_0 (P1)."""
+        n = len(self.pairs[0][0]) - 1
+        for _, g in self.pairs[1:]:
+            n -= len(g)
+        return n
 
     @property
     def color(self) -> int | None:
@@ -182,12 +188,12 @@ class WitnessTable:
             return None
         return next(iter(self.active_set))
 
-    @cached_property
+    @property
     def traces(self) -> dict:
         """Map process -> frozenset of layer indices where it occurs."""
         out = {p: [] for p in self.supp}
-        for i in range(self.t + 1):
-            for p in self.r_set(i):
+        for i, (w, g) in enumerate(self.pairs):
+            for p in w + g:
                 out[p].append(i)
         return {p: frozenset(ix) for p, ix in out.items()}
 
@@ -205,9 +211,13 @@ class WitnessTable:
     def is_witness(self) -> bool:
         return self.classification == WITNESS
 
-    @cached_property
+    @property
     def key(self) -> str:
-        return json.dumps([[list(w), list(g)] for w, g in self.pairs], separators=(",", ":"))
+        """The compact JSON of the pairs, built by string joins: the ids are
+        ints and never bools, so ``str`` prints them as JSON does."""
+        return "[" + ",".join(
+            "[[" + ",".join(map(str, w)) + "],[" + ",".join(map(str, g)) + "]]" for w, g in self.pairs
+        ) + "]"
 
     @classmethod
     def from_key(cls, key: str) -> "WitnessTable":
@@ -325,15 +335,17 @@ def stabilize(sigma: WitnessTable, ghosted: Iterable[int]) -> WitnessTable:
     same support.
     """
     s = frozenset(ghosted)
-    if not s <= sigma.active_set:
-        raise PreconditionViolation(f"cannot stabilize by {sorted(s)}: not a subset of the active set")
-    swallowed = s | sigma.ghost_set
     layers = sigma.pairs
+    ghosts = [p for _, g in layers for p in g]
+    # the active set is W_0 less the ghosts
+    if not (s.issubset(layers[0][0]) and s.isdisjoint(ghosts)):
+        raise PreconditionViolation(f"cannot stabilize by {sorted(s)}: not a subset of the active set")
+    swallowed = s.union(ghosts)
     cut = len(layers) - 1
     while cut >= 0 and swallowed.issuperset(layers[cut][0]):
         cut -= 1
     if cut < 0:
-        return WitnessTable._trusted((((), tuple(sorted(sigma.supp))),), WITNESS)
+        return WitnessTable._trusted((((), tuple(sorted(layers[0][0] + layers[0][1]))),), WITNESS)
     out = []
     later = set()
     for w, g in reversed(layers[: cut + 1]):
@@ -373,11 +385,9 @@ def indexes_simplex(sigma: WitnessTable, r: RoundCounter) -> bool:
     """
     if not sigma.is_witness or sigma.supp != r.support:
         return False
-    for p in sigma.active_set:
-        if sigma.m_count(p) != r[p] + 1:
-            return False
-    for p in sigma.ghost_set:
-        if sigma.m_count(p) > r[p] + 1:
+    ghosts = sigma.ghost_set
+    for p, ix in sigma.traces.items():
+        if len(ix) > r[p] + 1 or (p not in ghosts and len(ix) != r[p] + 1):
             return False
     return True
 
@@ -391,7 +401,8 @@ def complete(sigma: WitnessTable, r: RoundCounter) -> WitnessTable:
     """
     if not indexes_simplex(sigma, r):
         raise PreconditionViolation("complete() needs a simplex of the complex of r")
-    owed = {p: r[p] + 1 - sigma.m_count(p) for p in sigma.ghost_set}
+    traces = sigma.traces
+    owed = {p: r[p] + 1 - len(traces[p]) for p in sigma.ghost_set}
     rounds = max(owed.values(), default=0)
     pairs = [(tuple(sorted(sigma.supp)), ())]
     pairs += [(tuple(sorted(sigma.r_set(i))), ()) for i in range(1, sigma.t + 1)]

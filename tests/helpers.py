@@ -12,6 +12,7 @@ re-sorts the survivors at every step.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations, product
 
 from snapcomplex import RoundCounter, WitnessTable, from_trace, trace_form
@@ -174,6 +175,23 @@ def canonical_via_kept_layers(sigma: WitnessTable) -> WitnessTable:
         pairs.append((sigma.pairs[i][0], merged))
         prev = i
     return WitnessTable(pairs)
+
+
+def derived_oracle(sigma: WitnessTable) -> dict:
+    """Support, ghost and active sets, dimension, traces and key of a table,
+    by set algebra over the layers and ``json.dumps`` of the pairs."""
+    layers = [(set(w), set(g)) for w, g in sigma.pairs]
+    supp = layers[0][0] | layers[0][1]
+    ghosts = set().union(*(g for _, g in layers))
+    active = supp - ghosts
+    return {
+        "supp": frozenset(supp),
+        "ghost_set": frozenset(ghosts),
+        "active_set": frozenset(active),
+        "dim": len(active) - 1,
+        "traces": {p: frozenset(i for i, (w, g) in enumerate(layers) if p in w | g) for p in supp},
+        "key": json.dumps([[sorted(w), sorted(g)] for w, g in layers], separators=(",", ":")),
+    }
 
 
 def m_count_brute(sigma: WitnessTable, p: int) -> int:

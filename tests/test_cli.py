@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -222,6 +223,17 @@ def test_deep_counter_exits_cleanly():
         assert "Traceback" not in proc.stderr, argv
 
 
+# sha256 of stdout for (command, counter, format) on counters too large for
+# the default suite; a change to the witness kernel, the face order, the
+# collapse schedule or the exports moves one of them
+LARGE_SHA256 = {
+    ("build", "2,2,2,1", "json"): "45d62f73b6598d7c678c2795ef8e35135c996b5ac04f20e5934c2b26e98f9652",
+    ("export", "2,2,2,1", "dot"): "a560629283dca48fb30a5b3ce179907079a606a58d214a1e5a127f7bd507b535",
+    ("collapse", "2,2,2,1", "json"): "db103b3fcdddca855d9e9078c8c0ac786c6ee37a4dcda42f898ee98b3734f57e",
+    ("collapse", "3,3,3", "json"): "289339d1ca9881e4f0c93111a961a67a3f35b6c78f1ea38af89e26cad50a8ae9",
+}
+
+
 @pytest.mark.slow
 def test_verify_and_lattice_vertex_sets_on_large_counters():
     from snapcomplex import complexes
@@ -235,6 +247,13 @@ def test_verify_and_lattice_vertex_sets_on_large_counters():
         )
         assert proc.returncode == 0, (text, proc.stdout, proc.stderr)
         assert "FAIL" not in proc.stdout, text
+    for (command, text, fmt), want in LARGE_SHA256.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "snapcomplex.cli", command, "--counter", text, "--format", fmt],
+            capture_output=True, env=env, timeout=600,
+        )
+        assert proc.returncode == 0, (command, text, proc.stderr)
+        assert hashlib.sha256(proc.stdout).hexdigest() == want, (command, text, fmt)
     for values in ((2, 2, 2, 1), (3, 3, 3)):
         k = complexes.build.__wrapped__(RoundCounter.of(*values))  # not kept in the build cache
         verts = complexes._vertex_sets(k)

@@ -111,6 +111,16 @@ def test_build_keeps_one_object_per_simplex():
                 assert all(tau is canonical[tau] for tau in near), (values, sigma)
 
 
+def test_build_cofacets_are_the_sorted_inverse_of_facets():
+    for r in CORPUS_STRUCT:
+        k = build(r)
+        inverse = {s: [] for s in k.simplices}
+        for sigma, faces in k.facets.items():
+            for tau in faces:
+                inverse[tau].append(sigma)
+        assert k.cofacets == {s: tuple(sorted(c, key=lambda x: x.pairs)) for s, c in inverse.items()}, r
+
+
 def test_vertices_examples():
     top = WitnessTable([({0, 1}, ()), ({0, 1}, ())])
     assert keys(vertices(top)) == {
@@ -232,6 +242,20 @@ def test_cone_check_catches_swapped_same_colour_images(monkeypatch):
     monkeypatch.setattr(complexes, "delta_v", swapped)
     # the images still cover the base once each, but the edges at u and v
     # no longer map onto their faces
+    assert not cone_check(r, 2)
+
+
+def test_cone_check_catches_a_base_simplex_no_image_reaches(monkeypatch):
+    r = RoundCounter.of(1, 1, 0)
+    base_r = r.delete((2,))
+    real = complexes.build
+    base = real(base_r)
+    extra = WitnessTable([((0, 1), ())])  # one layer: no simplex of base_r
+    padded = Complex(base_r, base.simplices + (extra,), base.tops, {**base.facets, extra: ()}, {**base.cofacets, extra: ()})
+
+    assert cone_check(r, 2)
+    monkeypatch.setattr(complexes, "build", lambda c: padded if c == base_r else real(c))
+    # every simplex still maps onto its faces, but the images miss a base simplex
     assert not cone_check(r, 2)
 
 

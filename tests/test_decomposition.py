@@ -109,6 +109,8 @@ def test_transport_maps_reject_invalid_input():
         undelta_v(t, [0])  # 0 is witnessed at round 0 (P3)
     with pytest.raises(InvalidArgument):
         undelta_v(t, [-1])
+    with pytest.raises(InvalidArgument):
+        undelta_v(WitnessTable([((2, 3), ())]), [True])  # equal to 1 but no process id
     with pytest.raises(PreconditionViolation):
         delta_v(t, [0])  # not a round-0 ghost
     with pytest.raises(PreconditionViolation):

@@ -29,6 +29,12 @@ def test_analyze_examples():
     assert RoundCounter().analyze() == (frozenset(), frozenset(), frozenset(), 0)
 
 
+def test_counter_rejects_boolean_ids_and_counts():
+    for bad in ({True: 1}, {0: False}, {-1: 1}, {0: -1}):
+        with pytest.raises(InvalidArgument):
+            RoundCounter(bad)
+
+
 def test_chi_examples():
     assert RoundCounter.of(2, 0, 1).chi() == RoundCounter.of(1, 0, 1)
     assert chi_pair({0, 2}, {1}) == RoundCounter.of(1, 0, 1)

@@ -26,6 +26,7 @@ from tests.helpers import (
     all_prestructures,
     canonical_oracle,
     canonical_via_kept_layers,
+    derived_oracle,
     ghost_oracle,
     stabilize_via_table,
     stabilize_via_trace,
@@ -123,6 +124,36 @@ def test_derived_examples():
     assert WitnessTable([((), {0, 1})]).dim == -1
     v = WitnessTable([({0, 1}, ()), ({0}, {1})])
     assert (v.dim, v.color) == (0, 0)
+
+
+def test_table_holds_only_pairs_and_class():
+    sigma = WitnessTable(GHOST_IN)
+    assert WitnessTable.__slots__ == ("pairs", "classification")
+    assert not hasattr(sigma, "__dict__")
+    with pytest.raises(AttributeError):
+        sigma.cache = sigma.key
+
+
+def test_derived_data_matches_set_oracles_exhaustive():
+    count = 0
+    for sigma in all_prestructures((0, 1, 2), 3):
+        want = derived_oracle(sigma)
+        assert {name: getattr(sigma, name) for name in want} == want, sigma.pairs
+        count += 1
+    assert count == 5794
+
+
+def test_boolean_process_ids_are_rejected():
+    # True == 1 and hash(True) == hash(1), so a bool id would make a table equal
+    # to its int twin while printing another key
+    with pytest.raises(InvalidArgument):
+        WitnessTable([((True, 0), ())])
+    with pytest.raises(InvalidArgument):
+        WitnessTable([((0, 1), (False,))])
+    with pytest.raises(InvalidArgument):
+        WitnessTable.from_key("[[[0,true],[]]]")
+    assert classify([((True,), ())]).violated == "shape"
+    assert WitnessTable.from_key("[[[0,1],[]]]").key == "[[[0,1],[]]]"
 
 
 def test_canonical_form_golden():
