@@ -248,6 +248,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print(f"error: counter {r.text()} is too deep for the recursion limit", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: counter {r.text()} needs more memory than is available", file=sys.stderr)
+        return 2
     raise AssertionError("unreachable")
 
 

@@ -16,20 +16,13 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import InvalidArgument, PreconditionViolation
-from .rounds import RoundCounter, is_natural
+from .rounds import RoundCounter, is_natural, subsets
 from . import witness
 from .witness import WitnessTable
 
 
 def is_simplex(sigma: WitnessTable, r: RoundCounter) -> bool:
     return witness.indexes_simplex(sigma, r)
-
-
-def _subsets(elems):
-    """Nonempty subsets of a sorted element tuple, in bitmask order."""
-    n = len(elems)
-    for mask in range(1, 1 << n):
-        yield tuple(elems[i] for i in range(n) if mask >> i & 1)
 
 
 def enumerate_top(r: RoundCounter) -> list:
@@ -44,7 +37,7 @@ def enumerate_top(r: RoundCounter) -> list:
             # sorted nonempty layers: a witness structure by construction
             tops.append(WitnessTable._trusted(((supp, ()),) + tuple((s, ()) for s in layers), witness.WITNESS))
             return
-        for step in _subsets(live):
+        for step in subsets(live)[1:]:
             for p in step:
                 counts[p] -= 1
             layers.append(step)
@@ -321,46 +314,40 @@ def path_profile(k: Complex) -> PathReport:
 # ---------------------------------------------------------------------------
 
 
+def maps_faces(k: Complex, image: dict, target: Complex, onto) -> bool:
+    """``image`` maps a part of k one-to-one onto the simplices ``onto`` of
+    target, and the faces of each simplex that lie in the part onto the
+    faces of its image.  Which faces may leave the part is the caller's rule."""
+    images = set(image.values())
+    if len(images) != len(image) or images != set(onto):
+        return False
+    return all({image[f] for f in k.facets[s] if f in image} == set(target.facets[t]) for s, t in image.items())
+
+
 def cone_check(r: RoundCounter, apex: int) -> bool:
     """Replay the cone bijection for a passive process, face by face.
 
     The complex is the cone over the complex without ``apex``: simplices with
     apex in W_0 drop it to give the join part, simplices with apex in G_0
-    drop it to give the base part, and both maps must be face-compatible
-    bijections.  Faces come from the built lattices; dropping the apex keeps
-    every other process active, so equal face sets pair faces process by process.
+    drop it to give the cone part, and ``maps_faces`` must hold for both
+    maps onto the base.  No face leaves the cone part, and the only face
+    leaving a join simplex is its apex face, the cone copy of the simplex.
+    Faces come from the built lattices; dropping the apex keeps every other
+    process active, so equal face sets pair faces process by process.
     """
     if r.get(apex, None) != 0:
         raise PreconditionViolation(f"process {apex} is not passive")
     k = build(r)
     base = build(r.delete((apex,)))
-
-    def strip(sigma):
-        w0, g0 = sigma.pairs[0]
-        if apex in w0:
-            return WitnessTable(((tuple(p for p in w0 if p != apex), g0),) + sigma.pairs[1:])
-        return delta_v(sigma, (apex,))
-
-    with_apex = [s for s in k.simplices if apex in s.w(0)]
-    without_apex = [s for s in k.simplices if apex in s.g(0)]
-    if len(with_apex) + len(without_apex) != len(k.simplices):
+    join = {s: WitnessTable(((s.w(0) - {apex}, s.g(0)),) + s.pairs[1:]) for s in k.simplices if apex in s.w(0)}
+    cone = {s: delta_v(s, (apex,)) for s in k.simplices if apex in s.g(0)}
+    if len(join) + len(cone) != len(k.simplices):
         return False
-    image = {s: strip(s) for s in k.simplices}
-    for part in (with_apex, without_apex):
-        images = {image[s] for s in part}
-        if len(images) != len(part) or images != set(base.simplices):
-            return False
-    for s in k.simplices:
-        faces = set(k.facets[s])
-        if apex in s.w(0):
-            # removing the apex must give a face: the base copy of s
-            apex_face = undelta_v(image[s], (apex,))
-            if apex_face not in faces:
-                return False
-            faces.remove(apex_face)
-        if {image[f] for f in faces} != set(base.facets[image[s]]):
-            return False
-    return True
+    if any({f for f in k.facets[s] if f not in join} != {undelta_v(t, (apex,))} for s, t in join.items()):
+        return False
+    if any(f not in cone for s in cone for f in k.facets[s]):
+        return False
+    return maps_faces(k, join, base, base.simplices) and maps_faces(k, cone, base, base.simplices)
 
 
 def chromatic_check(r: RoundCounter) -> bool:
@@ -378,8 +365,7 @@ def chromatic_check(r: RoundCounter) -> bool:
 
     # enumerate: choose W_0 (ghost complement), then layered disjoint pairs
     # (W_i, G_i) with nonempty W_i covering W_0 & active exactly
-    for mask in range(1 << len(supp)):
-        w0 = tuple(supp[i] for i in range(len(supp)) if mask >> i & 1)
+    for w0 in subsets(supp):
         g0 = tuple(p for p in supp if p not in w0)
         todo0 = tuple(sorted(set(w0) & set(act)))
 
@@ -387,11 +373,9 @@ def chromatic_check(r: RoundCounter) -> bool:
             if not todo:
                 expected.add(WitnessTable([(w0, g0)] + layers))
                 return
-            for wmask in range(1, 1 << len(todo)):
-                w = tuple(todo[i] for i in range(len(todo)) if wmask >> i & 1)
+            for w in subsets(todo)[1:]:
                 rest = tuple(p for p in todo if p not in w)
-                for gmask in range(1 << len(rest)):
-                    g = tuple(rest[i] for i in range(len(rest)) if gmask >> i & 1)
+                for g in subsets(rest):
                     grow(tuple(p for p in rest if p not in g), layers + [(w, g)])
 
         if todo0:

@@ -29,10 +29,10 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import InvalidArgument, PreconditionViolation
-from .rounds import RoundCounter
+from .rounds import RoundCounter, subsets
 from .reports import CheckRecord, Report
 from . import witness
-from .complexes import Complex, Slice, build, delta_v, undelta_v
+from .complexes import Complex, Slice, boundary_subcomplex, build, delta_v, maps_faces, undelta_v
 from .witness import WitnessTable
 
 IN_Y = "in_Y"
@@ -50,12 +50,15 @@ class StratumId:
         object.__setattr__(self, "first", frozenset(first))
         object.__setattr__(self, "ghosts", frozenset(ghosts))
         object.__setattr__(self, "round0", frozenset(round0))
+        if not self.ghosts <= self.first:
+            raise InvalidArgument(f"need ghosts <= first, got {self}")
+        if self.round0 & self.first:
+            raise InvalidArgument(f"round-0 set must avoid the first class, got {self}")
 
     def validate(self, r: RoundCounter) -> None:
-        if not self.ghosts <= self.first <= r.active:
-            raise InvalidArgument(f"need ghosts <= first <= active set, got {self}")
-        if not self.round0 <= r.support or self.round0 & self.first:
-            raise InvalidArgument(f"round-0 set must avoid the first class, got {self}")
+        """The conditions that need the counter: S active, V in the support."""
+        if not self.first <= r.active or not self.round0 <= r.support:
+            raise InvalidArgument(f"need first <= active set and round0 <= support, got {self}")
 
     def __repr__(self) -> str:
         return f"StratumId(S={sorted(self.first)}, A={sorted(self.ghosts)}, V={sorted(self.round0)})"
@@ -63,8 +66,6 @@ class StratumId:
 
 def membership(sigma: WitnessTable, sid: StratumId) -> str:
     """Y/Z membership of a simplex, gated by the round-0 condition."""
-    if not sid.ghosts <= sid.first:
-        raise InvalidArgument(f"need ghosts <= first in {sid}")
     if not sid.round0 <= sigma.g(0):
         return OUT
     if sigma.t == 0:
@@ -100,9 +101,8 @@ def stratum(k: Complex, sid: StratumId) -> Slice:
 
 
 def _subsets(elems) -> list:
-    """Every subset of elems as a frozenset, by size and then lexicographically."""
-    elems = sorted(elems)
-    return [frozenset(c) for n in range(len(elems) + 1) for c in combinations(elems, n)]
+    """Every subset of elems as a frozenset, in ``subsets`` order."""
+    return [frozenset(c) for c in subsets(elems)]
 
 
 def _slices(k: Complex):
@@ -198,27 +198,24 @@ def rho_sa(tau: WitnessTable, first: Iterable[int], ghosts: Iterable[int] = ()) 
 
 
 def verify_stratum_iso(r: RoundCounter, sid: StratumId) -> bool:
-    """gamma is a face-respecting bijection from the stratum onto its target.
+    """gamma is a face-respecting bijection (``maps_faces``) from the stratum
+    onto its target, inverted by ``rho_sa``.
 
-    The target is the complex of the reduced counter, cut down to the
-    round-0 boundary piece when the stratum has one.  Faces on both sides
-    are read from the built lattices; since every member must keep its
-    active set, equal face sets pair each face of sigma with the face of
-    tau that lacks the same process.
+    The target is ``boundary_subcomplex(build(r.reduce(S, A)), V)``; it and
+    the stratum are closed, so no face leaves either.  Since every member
+    must keep its active set, equal face sets pair each face of sigma with
+    the face of tau that lacks the same process.
     """
     sid.validate(r)
     k = build(r)
     target = build(r.reduce(sid.first, sid.ghosts))
     image = {sigma: gamma(sigma, sid) for sigma in stratum(k, sid).members}
-    images = set(image.values())
-    if len(images) != len(image) or images != {t for t in target.simplices if sid.round0 <= t.g(0)}:
+    if not maps_faces(k, image, target, boundary_subcomplex(target, sid.round0).members):
         return False
-    for sigma, tau in image.items():
-        if rho_sa(tau, sid.first, sid.ghosts) != sigma or tau.active_set != sigma.active_set:
-            return False
-        if {image[f] for f in k.facets[sigma]} != set(target.facets[tau]):
-            return False
-    return True
+    return all(
+        rho_sa(tau, sid.first, sid.ghosts) == sigma and tau.active_set == sigma.active_set
+        for sigma, tau in image.items()
+    )
 
 
 def all_stratum_ids(r: RoundCounter) -> list:
@@ -404,16 +401,13 @@ def strata_partition(k: Complex) -> Report:
         for a in _subsets(s)[:-1]
         for v in _subsets(r.support - s)
     ]
-    candidates = {}
-    for cls in _classes(k):
-        candidates.update(dict.fromkeys(cls, [sid for sid in sids if membership(cls[0], sid) != OUT]))
+    interiors_of = {sigma: [] for sigma in k.simplices}  # filled in sid order
+    for sid in sids:
+        for sigma in stratum(k, sid).members:
+            if not delta_v(gamma(sigma, sid), sid.round0).g(0):
+                interiors_of[sigma].append((sid.first, sid.ghosts, sid.round0))
     records = []
-    for sigma in k.simplices:
-        interiors = [
-            (sid.first, sid.ghosts, sid.round0)
-            for sid in candidates[sigma]
-            if not delta_v(gamma(sigma, sid), sid.round0).g(0)
-        ]
+    for sigma, interiors in interiors_of.items():
         if sigma.t == 0:
             ok = not interiors and sigma.w(0) <= passive
         else:

@@ -9,6 +9,7 @@ returns a new counter.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvalidArgument, PreconditionViolation
@@ -17,6 +18,12 @@ from .errors import InvalidArgument, PreconditionViolation
 def is_natural(x) -> bool:
     """A nonnegative int that is not a bool: a process id or a round count."""
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def subsets(ids: Iterable[int]) -> list:
+    """Every subset of ids as a sorted tuple, by size and then lexicographically."""
+    ids = sorted(ids)
+    return [c for n in range(len(ids) + 1) for c in combinations(ids, n)]
 
 
 class Analysis(NamedTuple):
@@ -146,9 +153,14 @@ class RoundCounter:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RoundCounter":
+        """Read ``to_json_obj`` output: ids are canonical decimal strings, and
+        the counts go to the constructor as they are."""
         try:
             inner = obj["counter"]
-            return cls({int(k): int(v) for k, v in inner.items()})
+            values = {int(k): v for k, v in inner.items()}
+            if set(map(str, values)) != set(inner):  # " 1", "01", 1 or True as an id
+                raise ValueError("process ids must be canonical decimal strings")
+            return cls(values)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InvalidArgument(f"bad counter JSON: {obj!r}") from exc
 
@@ -160,9 +172,12 @@ class RoundCounter:
             token = token.strip()
             if token == "x":
                 continue
-            if not token.isdigit():
+            if not (token.isascii() and token.isdigit()):
                 raise InvalidArgument(f"bad counter token {token!r} at position {pos}")
-            values[pos] = int(token)
+            try:
+                values[pos] = int(token)
+            except ValueError as exc:  # more digits than int reads
+                raise InvalidArgument(f"counter token at position {pos} has {len(token)} digits, too many") from exc
         return cls(values)
 
 

@@ -26,10 +26,9 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import CollapseStuck, PreconditionViolation
-from .rounds import RoundCounter
+from .rounds import RoundCounter, subsets
 from .complexes import Complex, build
 from .decomposition import rho_sa
 from .witness import WitnessTable
@@ -82,12 +81,6 @@ class CollapseSequence:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
-def _subsets_sorted(elems):
-    elems = sorted(elems)
-    for n in range(len(elems) + 1):
-        yield from (tuple(c) for c in combinations(elems, n))
-
-
 def _collapse_plan(r: RoundCounter, p: int, memo: dict):
     """Steps removing the simplices with round-0 ghosts empty or exactly {p}.
 
@@ -118,21 +111,21 @@ def _collapse_plan(r: RoundCounter, p: int, memo: dict):
 
     act = sorted(r.active)
     stage1 = []
-    for s in _subsets_sorted(act):
+    for s in subsets(act):
         if not s or p in s:
             continue
-        for a in _subsets_sorted(s):
+        for a in subsets(s):
             if len(a) < len(s):
                 stage1.append((s, a))
     for s, a in sorted(stage1, key=lambda sa: (len(sa[1]), sa[0], sa[1])):
         run_batch(1, s, a, r.reduce(s, a), p)
 
     if p in r.active:
-        for s in _subsets_sorted(act):
+        for s in subsets(act):
             if p not in s or len(s) < 2:
                 continue
             q = min(x for x in s if x != p)
-            for a in _subsets_sorted(x for x in s if x not in (p, q)):
+            for a in subsets(x for x in s if x not in (p, q)):
                 run_batch(2, s, a, r.reduce(s, a), q)
         run_batch(3, (p,), (), r.execute((p,)), p)
     return steps, batches

@@ -18,7 +18,7 @@ from itertools import combinations, product
 from snapcomplex import RoundCounter, WitnessTable, from_trace, trace_form
 from snapcomplex.decomposition import IN_Y, IN_Z, OUT, rho_sa
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
-from snapcomplex.topology import CollapseBatch, CollapseStep, _subsets_sorted
+from snapcomplex.topology import CollapseBatch, CollapseStep
 
 # ---------------------------------------------------------------------------
 # Counter corpora
@@ -302,6 +302,14 @@ def undelta_v_oracle(tau: WitnessTable, ids) -> WitnessTable:
     return WitnessTable(((w0, tuple(sorted(set(g0) | v))),) + tau.pairs[1:])
 
 
+def sorted_subsets(elems) -> list:
+    """Every subset as a sorted tuple, by size and then lexicographically:
+    bitmask subsets re-sorted, so the oracle shares no enumerator with the library."""
+    elems = sorted(elems)
+    masks = range(1 << len(elems))
+    return sorted((tuple(p for i, p in enumerate(elems) if m >> i & 1) for m in masks), key=lambda c: (len(c), c))
+
+
 def collapse_plan_oracle(r: RoundCounter, p: int):
     """The collapse plan rebuilt from scratch at every level, with no memo."""
     steps = []
@@ -323,21 +331,21 @@ def collapse_plan_oracle(r: RoundCounter, p: int):
 
     act = sorted(r.active)
     stage1 = []
-    for s in _subsets_sorted(act):
+    for s in sorted_subsets(act):
         if not s or p in s:
             continue
-        for a in _subsets_sorted(s):
+        for a in sorted_subsets(s):
             if len(a) < len(s):
                 stage1.append((s, a))
     for s, a in sorted(stage1, key=lambda sa: (len(sa[1]), sa[0], sa[1])):
         run_batch(1, s, a, r.reduce(s, a), p)
 
     if p in r.active:
-        for s in _subsets_sorted(act):
+        for s in sorted_subsets(act):
             if p not in s or len(s) < 2:
                 continue
             q = min(x for x in s if x != p)
-            for a in _subsets_sorted(x for x in s if x not in (p, q)):
+            for a in sorted_subsets(x for x in s if x not in (p, q)):
                 run_batch(2, s, a, r.reduce(s, a), q)
         run_batch(3, (p,), (), r.execute((p,)), p)
     return steps, batches

@@ -101,6 +101,25 @@ def test_bad_counter_is_usage_error(capsys):
     assert code == 0 and out == "recursion=1 enumeration=1 ok\n"
 
 
+def test_unreadable_counter_tokens_are_usage_errors(capsys):
+    # non-ASCII digits (once read as 1,1 or a traceback) and a token longer than int reads
+    for text in ("²,1", "١,1", "9" * 5000 + ",1"):
+        code, out, err = run(capsys, "count", "--counter", text)
+        assert (code, out) == (2, ""), text
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_memory_error_is_a_usage_error(capsys, monkeypatch):
+    from snapcomplex import complexes
+
+    def exhausted(r):
+        raise MemoryError
+
+    monkeypatch.setattr(complexes, "build", exhausted)
+    want = (2, "", "error: counter 1,1 needs more memory than is available\n")
+    assert run(capsys, "build", "--counter", "1,1") == want
+
+
 def test_collapse_command(tmp_path, capsys):
     out_file = tmp_path / "collapse.json"
     code, out, _ = run(capsys, "collapse", "--counter", "1,1", "--out", str(out_file))

@@ -259,6 +259,43 @@ def test_cone_check_catches_a_base_simplex_no_image_reaches(monkeypatch):
     assert not cone_check(r, 2)
 
 
+def _rig_facets(monkeypatch, r, facets):
+    """Let build(r) return the lattice of r with some facet lists replaced."""
+    real = complexes.build
+    k = real(r)
+    rigged = Complex(r, k.simplices, k.tops, {**k.facets, **facets}, k.cofacets)
+    monkeypatch.setattr(complexes, "build", lambda c: rigged if c == r else real(c))
+
+
+def test_cone_check_catches_a_join_simplex_without_its_apex_face(monkeypatch):
+    r = RoundCounter.of(1, 1, 0)
+    k = build(r)
+    s = next(s for s in k.by_dim[1] if 2 in s.w(0))
+    faces = tuple(f for f in k.facets[s] if 2 not in f.g(0))  # drop the apex face
+    assert cone_check(r, 2)
+    _rig_facets(monkeypatch, r, {s: faces})
+    # the faces left inside the join part still map onto the base faces
+    assert not cone_check(r, 2)
+
+
+def test_cone_check_catches_a_cone_simplex_with_a_join_face(monkeypatch):
+    r = RoundCounter.of(1, 1, 0)
+    k = build(r)
+    s = next(s for s in k.by_dim[1] if 2 in s.g(0))
+    j = next(v for v in k.by_dim[0] if 2 in v.w(0))
+    f = k.facets[s][0]
+    twin = WitnessTable(((f.w(0) | {2}, f.g(0) - {2}),) + f.pairs[1:])  # the join copy of f
+    assert cone_check(r, 2)
+    with monkeypatch.context() as m:
+        _rig_facets(m, r, {s: k.facets[s] + (j,)})
+        # the faces inside the cone part still map onto the base faces
+        assert not cone_check(r, 2)
+    with monkeypatch.context() as m:
+        # f and its twin have one base image, so the face images still match
+        _rig_facets(m, r, {s: tuple(twin if x == f else x for x in k.facets[s])})
+        assert not cone_check(r, 2)
+
+
 def test_checks_after_build_never_ghost(monkeypatch):
     def no_ghost(sigma, ghosted):
         raise AssertionError(f"ghosting {sigma!r} after build")

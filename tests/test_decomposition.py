@@ -22,7 +22,7 @@ from snapcomplex import (
     verify_stratum_iso,
 )
 from snapcomplex import decomposition
-from snapcomplex.complexes import undelta_v
+from snapcomplex.complexes import Complex, undelta_v
 from snapcomplex.decomposition import IN_Y, IN_Z, OUT, _slices
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
 from tests.helpers import (
@@ -62,8 +62,19 @@ def test_membership_examples():
     # the round-0 gate
     assert membership(V0, StratumId({0}, (), {1})) == IN_Y
     assert membership(A_EDGE, StratumId({0}, (), {1})) == OUT
+
+
+def test_stratum_id_checks_what_needs_no_counter_when_made():
     with pytest.raises(InvalidArgument):
-        membership(V0, StratumId({0}, {0, 1}))
+        StratumId({0}, {0, 1})  # A not inside S
+    with pytest.raises(InvalidArgument):
+        StratumId({0, 1}, (), {1, 2})  # V meets S
+    sid = StratumId({1}, (), {2})
+    sid.validate(RoundCounter.of(0, 1, 0))
+    with pytest.raises(InvalidArgument):
+        sid.validate(RoundCounter.of(0, 0, 0))  # S not active
+    with pytest.raises(InvalidArgument):
+        sid.validate(RoundCounter.of(0, 1))  # V outside the support
 
 
 def test_stratum_examples():
@@ -225,6 +236,35 @@ def test_verify_stratum_iso_with_round0_ghosts():
     r = RoundCounter.of(1, 1, 1)
     for sid in (StratumId({0}, (), {2}), StratumId({0, 1}, {1}, {2}), StratumId({2}, {2}, {0})):
         assert verify_stratum_iso(r, sid)
+
+
+def test_verify_stratum_iso_catches_rigged_maps(monkeypatch):
+    r, sid = RoundCounter.of(1, 1, 1), StratumId({0, 1}, {1})
+    target_r = r.reduce(sid.first, sid.ghosts)
+    # u has the largest dimension in the stratum, so no member has u as a face
+    v, u = sorted(stratum(build(r), sid).members, key=lambda s: (s.dim, s.key))[-2:]
+    real_gamma, real_build = decomposition.gamma, decomposition.build
+    assert verify_stratum_iso(r, sid)
+    with monkeypatch.context() as m:
+        # two members sent to one image
+        m.setattr(decomposition, "gamma", lambda sigma, s: real_gamma(u if sigma == v else sigma, s))
+        assert not verify_stratum_iso(r, sid)
+    with monkeypatch.context() as m:
+        # u sent outside the target, to a table rho_sa still takes back to u:
+        # the target simplex it should reach is missed
+        m.setattr(
+            decomposition,
+            "gamma",
+            lambda sigma, s: undelta_v(real_gamma(sigma, s), s.ghosts) if sigma == u else real_gamma(sigma, s),
+        )
+        assert not verify_stratum_iso(r, sid)
+    with monkeypatch.context() as m:
+        # a target simplex that no member reaches, with every face map intact
+        base = real_build(target_r)
+        extra = WitnessTable([((0, 2), ())])  # one layer: no simplex of the target
+        padded = Complex(target_r, base.simplices + (extra,), base.tops, {**base.facets, extra: ()}, base.cofacets)
+        m.setattr(decomposition, "build", lambda c: padded if c == target_r else real_build(c))
+        assert not verify_stratum_iso(r, sid)
 
 
 def test_partition_term_counts_three_processes():

@@ -5,6 +5,8 @@ import pytest
 
 from snapcomplex import RoundCounter, chi_pair
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
+from snapcomplex.rounds import subsets as rounds_subsets
+from tests.helpers import sorted_subsets
 
 
 def small_counters(universe=(0, 1, 2), max_value=2):
@@ -110,6 +112,31 @@ def test_text_and_json_forms():
         RoundCounter.parse("2,y,1")
     with pytest.raises(InvalidArgument):
         RoundCounter.from_json_obj({"nope": {}})
+
+
+def test_parse_reads_ascii_digits_only():
+    # str.isdigit() accepts superscripts and Arabic-Indic digits; int() reads
+    # no more than a few thousand digits
+    for text in ("²,1", "١,1", "1,٣", "9" * 5000):
+        with pytest.raises(InvalidArgument, match="position"):
+            RoundCounter.parse(text)
+    assert RoundCounter.parse(" 2 , x ,01") == RoundCounter({0: 2, 2: 1})
+
+
+def test_from_json_obj_takes_counts_as_they_are_and_canonical_ids_only():
+    bad = ({"0": 1.5}, {"0": True}, {"0": "2"}, {" 1": 2}, {"01": 2}, {"+1": 2}, {"١": 2}, {0: 2}, {"-1": 0})
+    for inner in bad:
+        with pytest.raises(InvalidArgument):
+            RoundCounter.from_json_obj({"counter": inner})
+    with pytest.raises(InvalidArgument):
+        RoundCounter.from_json_obj({"counter": {"9" * 5000: 1}})
+    assert RoundCounter.from_json_obj({"counter": {"10": 0, "2": 3}}) == RoundCounter({2: 3, 10: 0})
+
+
+def test_subsets_by_size_then_lexicographically():
+    for ids in [(), (3,), (2, 0, 1), (5, 1, 4, 2), (7, 0, 3, 9, 4)]:
+        assert rounds_subsets(ids) == sorted_subsets(ids), ids
+    assert rounds_subsets(p for p in (1, 0)) == [(), (0,), (1,), (0, 1)]
 
 
 def test_counters_are_immutable_values():
