@@ -11,41 +11,23 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import lru_cache
+from functools import cache
 
 from .errors import CollapseStuck, InvalidArgument, PreconditionViolation
 from .rounds import RoundCounter
 from .reports import CheckRecord
 from . import complexes, counting, decomposition, topology
 
-CHECK_NAMES = (
-    "pure",
-    "pseudo",
-    "connected",
-    "reconstruction",
-    "incidence",
-    "strata",
-    "diagrams",
-    "partition",
-    "collapse",
-    "homology",
-    "chromatic",
-    "cone",
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="snapcomplex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--counter", required=True, help="round counter, e.g. 2,x,1")
-        p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-        p.add_argument("--out", default=None, help="write the main artifact to this file")
-
-    for name in ("build", "count", "verify", "collapse", "export"):
+    for name, (_, formats, writes) in COMMANDS.items():
         p = sub.add_parser(name)
-        add_common(p)
+        p.add_argument("--counter", required=True, help="round counter, e.g. 2,x,1")
+        p.add_argument("--format", choices=formats, default=formats[0])
+        if writes:
+            p.add_argument("--out", default=None, help="write the main artifact to this file")
         if name == "verify":
             p.add_argument("--checks", default=None, help="comma list of checks (default: all applicable)")
     return parser
@@ -63,102 +45,108 @@ def _emit(records, fmt):
             print(f"{rec.check}: {status} ({rec.params}){tail}")
 
 
-# structural check -> the StructureReport fields that must all hold
-STRUCTURAL_FIELDS = {
-    "pure": ("pure",),
-    "pseudo": ("pseudomanifold", "boundary_matches"),
-    "connected": ("strongly_connected",),
-    "reconstruction": ("reconstruction_injective",),
-}
+def _structural(*fields):
+    """Runner failing on the first counterexample of any of these StructureReport fields."""
+
+    def run(r, structure):
+        bad = [ce for field, ce in structure().failures if field in fields]
+        return not bad, bad[0] if bad else None
+
+    return run
 
 
-@lru_cache(maxsize=1)
-def _structure(k):
-    return complexes.structural_checks(k)
+def _first_bad(items, holds, show):
+    """(ok, counterexample): the first item that does not hold, shown."""
+    bad = next((x for x in items if not holds(x)), None)
+    return (True, None) if bad is None else (False, show(bad))
 
 
-def _run_check(name: str, r: RoundCounter) -> CheckRecord:
+def _first_failure(rep, show=lambda rec: f"{rec.check} {rec.params}"):
+    """(ok, counterexample) of a Report: its first failed record, shown."""
+    return _first_bad(rep.records, lambda rec: rec.ok, show)
+
+
+def _collapse(r, _):
     k = complexes.build(r)
-    if name in STRUCTURAL_FIELDS:
-        bad = [ce for field, ce in _structure(k)._failures if field in STRUCTURAL_FIELDS[name]]
-        return CheckRecord(name, r.text(), not bad, bad[0] if bad else None)
-    if name == "incidence":
-        rep = decomposition.verify_incidence(r)
-        bad = rep.first_failure
-        return CheckRecord("incidence", r.text(), rep.ok, None if rep.ok else f"{bad.check} {bad.params}")
-    if name == "strata":
-        for sid in decomposition.all_stratum_ids(r):
-            if not decomposition.verify_stratum_iso(r, sid):
-                return CheckRecord("strata", r.text(), False, repr(sid))
-        return CheckRecord("strata", r.text(), True)
-    if name == "diagrams":
-        rep = decomposition.verify_diagrams(r)
-        bad = rep.first_failure
-        return CheckRecord("diagrams", r.text(), rep.ok, None if rep.ok else f"{bad.check} {bad.params}")
-    if name == "partition":
-        rep = decomposition.strata_partition(k)
-        bad = rep.first_failure
-        return CheckRecord("partition", r.text(), rep.ok, None if rep.ok else bad.params)
-    if name == "collapse":
-        try:
-            seq = topology.collapse_to_point(r)
-        except CollapseStuck as exc:
-            return CheckRecord("collapse", r.text(), False, str(exc))
-        ver = topology.validate_collapse(k, seq)
-        ok = bool(ver) and len(seq.residual) == len(k.simplices) - 2 * len(seq.steps)
-        ok = ok and sorted(s.dim for s in seq.residual) == [-1, 0]
-        if not ok and ver.failed_index is not None:
-            return CheckRecord("collapse", r.text(), False, f"{ver.reason} at {seq.locate(ver.failed_index)}")
-        return CheckRecord("collapse", r.text(), ok, None if ok else ver.reason or "bad residual")
-    if name == "homology":
-        prof = topology.homology_gf2(k)
-        want = (1,) + (0,) * k.dim
-        ok = prof.betti == want and prof.euler == 1
-        return CheckRecord("homology", r.text(), ok, None if ok else f"betti={prof.betti} euler={prof.euler}")
-    if name == "chromatic":
-        ok = complexes.chromatic_check(r)
-        return CheckRecord("chromatic", r.text(), ok, None if ok else "simplex sets differ")
-    if name == "cone":
-        for p in sorted(r.passive):
-            if not complexes.cone_check(r, p):
-                return CheckRecord("cone", r.text(), False, f"apex={p}")
-        return CheckRecord("cone", r.text(), True)
-    raise InvalidArgument(f"unknown check {name!r}")
+    try:
+        seq = topology.collapse_to_point(r)
+    except CollapseStuck as exc:
+        return False, str(exc)
+    ver = topology.validate_collapse(k, seq)
+    ok = bool(ver) and len(seq.residual) == len(k.simplices) - 2 * len(seq.steps)
+    ok = ok and sorted(s.dim for s in seq.residual) == [-1, 0]
+    if not ok and ver.failed_index is not None:
+        return False, f"{ver.reason} at {seq.locate(ver.failed_index)}"
+    return ok, None if ok else ver.reason or "bad residual"
 
 
-def _applicable(name: str, r: RoundCounter):
-    """None when runnable, else the skip reason."""
-    if name == "chromatic" and any(v not in (0, 1) for _, v in r):
-        return "counter is not 0/1-valued"
-    if name == "cone" and not r.passive:
-        return "no passive process"
-    return None
+def _homology(r, _):
+    k = complexes.build(r)
+    prof = topology.homology_gf2(k)
+    ok = prof.betti == (1,) + (0,) * k.dim and prof.euler == 1
+    return ok, None if ok else f"betti={prof.betti} euler={prof.euler}"
+
+
+def _chromatic(r, _):
+    ok = complexes.chromatic_check(r)
+    return ok, None if ok else "simplex sets differ"
+
+
+def _not_01(r):
+    return "counter is not 0/1-valued" if any(v not in (0, 1) for _, v in r) else None
+
+
+def _no_passive(r):
+    return None if r.passive else "no passive process"
+
+
+# check name -> (skip rule, runner), in report order.  A skip rule maps the
+# counter to the reason the check does not apply, or None to run it.  A runner
+# maps the counter and ``structure`` (the run's one ``structural_checks``
+# report, made on first call) to (ok, counterexample); it looks each layer
+# function up on its module when it runs, so spans and test doubles see it.
+CHECKS = {
+    "pure": (None, _structural("pure")),
+    "pseudo": (None, _structural("pseudomanifold", "boundary_matches")),
+    "connected": (None, _structural("strongly_connected")),
+    "reconstruction": (None, _structural("reconstruction_injective")),
+    "incidence": (None, lambda r, _: _first_failure(decomposition.verify_incidence(r))),
+    "strata": (None, lambda r, _: _first_bad(
+        decomposition.all_stratum_ids(r), lambda sid: decomposition.verify_stratum_iso(r, sid), repr)),
+    "diagrams": (None, lambda r, _: _first_failure(decomposition.verify_diagrams(r))),
+    "partition": (None, lambda r, _: _first_failure(
+        decomposition.strata_partition(complexes.build(r)), lambda rec: rec.params)),
+    "collapse": (None, _collapse),
+    "homology": (None, _homology),
+    "chromatic": (_not_01, _chromatic),
+    "cone": (_no_passive, lambda r, _: _first_bad(
+        sorted(r.passive), lambda p: complexes.cone_check(r, p), "apex={}".format)),
+}
 
 
 def cmd_verify(r: RoundCounter, args) -> int:
     if not r.support:
         print("error: nothing to verify for an empty counter", file=sys.stderr)
         return 2
-    if args.checks is None:
-        names = list(CHECK_NAMES)
-    else:
-        names = [c.strip() for c in args.checks.split(",") if c.strip()]
-        unknown = [c for c in names if c not in CHECK_NAMES]
-        if unknown:
-            print(f"error: unknown checks: {','.join(unknown)}", file=sys.stderr)
-            return 2
-    failed = False
+    names = list(CHECKS) if args.checks is None else [c.strip() for c in args.checks.split(",") if c.strip()]
+    unknown = [c for c in names if c not in CHECKS]
+    if unknown:
+        print(f"error: unknown checks: {','.join(unknown)}", file=sys.stderr)
+        return 2
+    if not names:
+        print("error: no checks requested", file=sys.stderr)
+        return 2
+    structure = cache(lambda: complexes.structural_checks(complexes.build(r)))
     records = []
     for name in names:
-        reason = _applicable(name, r)
-        if reason is not None:
+        skip, run = CHECKS[name]
+        reason = skip(r) if skip else None
+        if reason is None:
+            records.append(CheckRecord(name, r.text(), *run(r, structure)))
+        else:
             records.append(CheckRecord(name, f"skipped: {reason}", True))
-            continue
-        rec = _run_check(name, r)
-        failed = failed or not rec.ok
-        records.append(rec)
-    _emit(records, "json" if args.format == "json" else "text")
-    return 1 if failed else 0
+    _emit(records, args.format)
+    return 0 if all(rec.ok for rec in records) else 1
 
 
 def cmd_build(r: RoundCounter, args) -> int:
@@ -220,6 +208,16 @@ def cmd_export(r: RoundCounter, args) -> int:
     return 0
 
 
+# subcommand -> (handler, its --format choices with the default first, whether it takes --out)
+COMMANDS = {
+    "build": (cmd_build, ("text", "json"), True),
+    "count": (cmd_count, ("text", "json"), False),
+    "verify": (cmd_verify, ("text", "json"), False),
+    "collapse": (cmd_collapse, ("text", "json"), True),
+    "export": (cmd_export, ("json", "dot"), True),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -232,16 +230,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "build":
-            return cmd_build(r, args)
-        if args.command == "count":
-            return cmd_count(r, args)
-        if args.command == "verify":
-            return cmd_verify(r, args)
-        if args.command == "collapse":
-            return cmd_collapse(r, args)
-        if args.command == "export":
-            return cmd_export(r, args)
+        return COMMANDS[args.command][0](r, args)
     except (InvalidArgument, PreconditionViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -251,7 +240,6 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"error: counter {r.text()} needs more memory than is available", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 def run() -> None:

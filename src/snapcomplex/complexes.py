@@ -199,15 +199,15 @@ class StructureReport:
     boundary_matches: bool
     strongly_connected: bool
     reconstruction_injective: bool
-    _failures: tuple = ()  # (field, its first counterexample) per failed field, in the order found
+    failures: tuple = ()  # (field, its first counterexample) per failed field, in the order found
 
     @property
     def counterexample(self) -> str | None:
-        return self._failures[0][1] if self._failures else None
+        return self.failures[0][1] if self.failures else None
 
     @property
     def ok(self) -> bool:
-        return not self._failures
+        return not self.failures
 
 
 def _vertex_sets(k: Complex) -> dict:
@@ -245,7 +245,7 @@ def structural_checks(k: Complex) -> StructureReport:
             failures.setdefault("reconstruction_injective", f"reconstruction: {seen[vs].key} vs {s.key}")
         seen[vs] = s
 
-    checks = fields(StructureReport)[:-1]  # every field but _failures
+    checks = fields(StructureReport)[:-1]  # every field but failures
     return StructureReport(*(f.name not in failures for f in checks), tuple(failures.items()))
 
 

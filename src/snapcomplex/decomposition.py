@@ -106,14 +106,18 @@ def _subsets(elems) -> list:
 
 
 def _slices(k: Complex):
-    """Subsets of the active set, and the X_{S,A}, Y_{S,A} and Z_S tables (V = 0)."""
+    """Subsets of the active set, and the X_{S,A}, Y_{S,A} and Z_S tables (V = 0).
+
+    X_{S,A} is the memoized stratum.  ``membership`` decides Z before Y, and
+    Z does not depend on A, so Y_{S,A} is X_{S,A} less Z_S.
+    """
     subsets = _subsets(k.counter.active)
     x, y, z = {}, {}, {}
     for s in subsets:
         z[s] = _part(k, StratumId(s), (IN_Z,))
         for a in _subsets(s):
-            y[(s, a)] = _part(k, StratumId(s, a), (IN_Y,))
-            x[(s, a)] = y[(s, a)] | z[s]
+            x[(s, a)] = stratum(k, StratumId(s, a)).members
+            y[(s, a)] = x[(s, a)] - z[s]
     return subsets, x, y, z
 
 
@@ -334,44 +338,49 @@ def verify_diagrams(r: RoundCounter) -> Report:
     # strata-within-strata: peeling A then S agrees with peeling S|A at once
     for a in subsets:
         rest = build(r.delete(a))
+        peel_a = StratumId(a, a)
         for s in subsets:
             if not s or s & a:
                 continue
+            peel_s, peel_sa = StratumId(s), StratumId(s | a, a)
 
             def law(sigma):
-                step = gamma(sigma, StratumId(a, a))
+                step = gamma(sigma, peel_a)
                 return (
-                    membership(step, StratumId(s)) != OUT
+                    membership(step, peel_s) != OUT
                     and step in rest
-                    and gamma(step, StratumId(s)) == gamma(sigma, StratumId(s | a, a))
+                    and gamma(step, peel_s) == gamma(sigma, peel_sa)
                 )
 
-            replay("diagram-strata", (s, a), StratumId(s | a, a), law)
+            replay("diagram-strata", (s, a), peel_sa, law)
 
     # forcing fewer ghosts differs from forcing more only by round-0 ghosts
     for s in subsets[1:]:  # S nonempty
         for a in _subsets(s):
+            more = StratumId(s, a)
             for b in _subsets(a):
+                fewer = StratumId(s, b)
                 replay(
                     "diagram-ghost-forcing",
                     (s, a, b),
-                    StratumId(s, a),
-                    lambda sigma: gamma(sigma, StratumId(s, b)) == undelta_v(gamma(sigma, StratumId(s, a)), a - b),
+                    more,
+                    lambda sigma: gamma(sigma, fewer) == undelta_v(gamma(sigma, more), a - b),
                 )
 
     # peeling the first class commutes with stripping round-0 ghosts
     for s in subsets[1:]:  # S nonempty
         for a in _subsets(s):
+            peel = StratumId(s, a)
             for v in _subsets(r.support - s):
                 dropped = build(r.delete(v))
 
                 def law(sigma):
-                    phi, psi = gamma(sigma, StratumId(s, a)), delta_v(sigma, v)
+                    phi, psi = gamma(sigma, peel), delta_v(sigma, v)
                     return (
                         v <= phi.g(0)
-                        and membership(psi, StratumId(s, a)) != OUT
+                        and membership(psi, peel) != OUT
                         and psi in dropped
-                        and delta_v(phi, v) == gamma(psi, StratumId(s, a))
+                        and delta_v(phi, v) == gamma(psi, peel)
                     )
 
                 replay("diagram-boundary", (s, a, v), StratumId(s, a, v), law)

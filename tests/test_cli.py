@@ -151,16 +151,8 @@ def test_verify_other_counters_pass(capsys):
 
 def test_failing_check_sets_exit_code(capsys, monkeypatch):
     from snapcomplex import cli
-    from snapcomplex.reports import CheckRecord
 
-    real = cli._run_check
-
-    def rigged(name, r):
-        if name == "pure":
-            return CheckRecord("pure", r.text(), False, "some-simplex-key")
-        return real(name, r)
-
-    monkeypatch.setattr(cli, "_run_check", rigged)
+    monkeypatch.setitem(cli.CHECKS, "pure", (None, lambda r, structure: (False, "some-simplex-key")))
     code, out, _ = run(capsys, "verify", "--counter", "1,1", "--checks", "pure,homology")
     assert code == 1
     assert "pure: FAIL" in out and "some-simplex-key" in out
@@ -168,7 +160,7 @@ def test_failing_check_sets_exit_code(capsys, monkeypatch):
 
 
 def test_verify_runs_structural_checks_once(capsys, monkeypatch):
-    from snapcomplex import cli, complexes
+    from snapcomplex import complexes
 
     calls = []
     real = complexes.structural_checks
@@ -178,21 +170,20 @@ def test_verify_runs_structural_checks_once(capsys, monkeypatch):
         return real(k)
 
     monkeypatch.setattr(complexes, "structural_checks", counted)
-    cli._structure.cache_clear()
-    code, _, _ = run(capsys, "verify", "--counter", "1,1,1", "--checks", "pure,pseudo,connected,reconstruction")
-    assert code == 0
-    assert len(calls) == 1
+    for runs in (1, 2):  # once per run: a second run does not reuse the first run's report
+        code, _, _ = run(capsys, "verify", "--counter", "1,1,1", "--checks", "pure,pseudo,connected,reconstruction")
+        assert code == 0
+        assert len(calls) == runs
 
 
 def test_each_structural_check_shows_its_own_counterexample(capsys, monkeypatch):
-    from snapcomplex import cli, complexes
+    from snapcomplex import complexes
 
     k = complexes.build(RoundCounter.of(1, 1))
     twin = k.tops[0]
     rigged = complexes.Complex(k.counter, k.simplices + (twin,), k.tops, k.facets, k.cofacets)
     monkeypatch.setattr(complexes, "build", lambda r: rigged)
     monkeypatch.setattr(complexes, "_dual_graph_connected", lambda _: False)
-    cli._structure.cache_clear()
     code, out, _ = run(capsys, "verify", "--counter", "1,1", "--checks", "connected,reconstruction,pure")
     assert code == 1
     assert out == (
@@ -201,7 +192,33 @@ def test_each_structural_check_shows_its_own_counterexample(capsys, monkeypatch)
         "pure: ok (1,1)\n"
     )
     assert complexes.structural_checks(rigged).counterexample == "dual graph disconnected"
-    cli._structure.cache_clear()
+
+
+def test_verify_with_no_checks_named_is_a_usage_error(capsys):
+    for checks in (",", " , ,", ""):
+        assert run(capsys, "verify", "--counter", "1,1", "--checks", checks) == (2, "", "error: no checks requested\n")
+
+
+# argv (after the subcommand's --counter) that name an option the subcommand does not read
+UNREAD_OPTIONS = (
+    ("verify", "--out", "F"),
+    ("count", "--out", "F"),
+    ("build", "--format", "dot"),
+    ("count", "--format", "dot"),
+    ("verify", "--format", "dot"),
+    ("collapse", "--format", "dot"),
+    ("export", "--format", "text"),
+)
+
+
+@pytest.mark.parametrize("argv", UNREAD_OPTIONS, ids=" ".join)
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    command, *rest = argv
+    code, out, err = run(capsys, command, "--counter", "1,1", *rest)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: snapcomplex") and "error: " in err
+    assert not (tmp_path / "F").exists()
 
 
 def test_failed_collapse_names_step_stage_and_batch(capsys, monkeypatch):

@@ -1,21 +1,40 @@
-"""The benchmark tracer's layer table names functions that exist.
+"""The benchmark's scripts name only what the program has.
 
 ``bench/tracer.py`` skips a missing name silently, so a rename would zero a
-per-layer metric; this test loads the tracer as it is and checks every name.
+per-layer metric, and ``bench/run.py`` would count a rejected option as a
+failed job.  These tests load each script as it is and check its names
+against the program.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
+from snapcomplex import cli
 
-def test_every_traced_layer_name_is_callable():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+
+def _load(name, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_name_is_callable(monkeypatch):
+    tracer = _load("tracer", monkeypatch)
     assert tracer.LAYERS
     for layer, names in tracer.LAYERS.items():
         module = importlib.import_module(f"snapcomplex.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_benchmark_commands_parse_and_report_in_check_order(monkeypatch):
+    bench = _load("run", monkeypatch)
+    parser = cli.build_parser()
+    for workload in bench.WORKLOADS.values():
+        parser.parse_args(workload.argv(bench.counter_text(workload.values, 0)))  # SystemExit on a rejected option
+    assert tuple(cli.CHECKS) == bench.VERIFY_OK + ("cone",)
