@@ -26,7 +26,6 @@ from .witness import (
 )
 from .complexes import (
     Complex,
-    Slice,
     boundary_subcomplex,
     build,
     chromatic_check,
@@ -35,7 +34,6 @@ from .complexes import (
     cone_check,
     delta_v,
     enumerate_top,
-    is_simplex,
     path_profile,
     structural_checks,
     vertices,

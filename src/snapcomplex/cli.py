@@ -55,15 +55,15 @@ def _structural(*fields):
     return run
 
 
-def _first_bad(items, holds, show):
-    """(ok, counterexample): the first item that does not hold, shown."""
-    bad = next((x for x in items if not holds(x)), None)
+def _verdict(bad, show=lambda rec: f"{rec.check} {rec.params}"):
+    """(ok, counterexample): ok when nothing failed, else the failure shown
+    (by default a report's ``first_failure`` record, as its check and params)."""
     return (True, None) if bad is None else (False, show(bad))
 
 
-def _first_failure(rep, show=lambda rec: f"{rec.check} {rec.params}"):
-    """(ok, counterexample) of a Report: its first failed record, shown."""
-    return _first_bad(rep.records, lambda rec: rec.ok, show)
+def _first_bad(items, holds, show):
+    """The verdict on the first item that does not hold."""
+    return _verdict(next((x for x in items if not holds(x)), None), show)
 
 
 def _collapse(r, _):
@@ -92,10 +92,6 @@ def _chromatic(r, _):
     return ok, None if ok else "simplex sets differ"
 
 
-def _not_01(r):
-    return "counter is not 0/1-valued" if any(v not in (0, 1) for _, v in r) else None
-
-
 def _no_passive(r):
     return None if r.passive else "no passive process"
 
@@ -110,15 +106,15 @@ CHECKS = {
     "pseudo": (None, _structural("pseudomanifold", "boundary_matches")),
     "connected": (None, _structural("strongly_connected")),
     "reconstruction": (None, _structural("reconstruction_injective")),
-    "incidence": (None, lambda r, _: _first_failure(decomposition.verify_incidence(r))),
+    "incidence": (None, lambda r, _: _verdict(decomposition.verify_incidence(r).first_failure)),
     "strata": (None, lambda r, _: _first_bad(
         decomposition.all_stratum_ids(r), lambda sid: decomposition.verify_stratum_iso(r, sid), repr)),
-    "diagrams": (None, lambda r, _: _first_failure(decomposition.verify_diagrams(r))),
-    "partition": (None, lambda r, _: _first_failure(
-        decomposition.strata_partition(complexes.build(r)), lambda rec: rec.params)),
+    "diagrams": (None, lambda r, _: _verdict(decomposition.verify_diagrams(r).first_failure)),
+    "partition": (None, lambda r, _: _verdict(
+        decomposition.strata_partition(complexes.build(r)).first_failure, lambda rec: rec.params)),
     "collapse": (None, _collapse),
     "homology": (None, _homology),
-    "chromatic": (_not_01, _chromatic),
+    "chromatic": (lambda r: None if complexes.is_zero_one(r) else "counter is not 0/1-valued", _chromatic),
     "cone": (_no_passive, lambda r, _: _first_bad(
         sorted(r.passive), lambda p: complexes.cone_check(r, p), "apex={}".format)),
 }

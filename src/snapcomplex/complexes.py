@@ -12,17 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import InvalidArgument, PreconditionViolation
 from .rounds import RoundCounter, is_natural, subsets
 from . import witness
 from .witness import WitnessTable
-
-
-def is_simplex(sigma: WitnessTable, r: RoundCounter) -> bool:
-    return witness.indexes_simplex(sigma, r)
 
 
 def enumerate_top(r: RoundCounter) -> list:
@@ -128,37 +124,16 @@ def has_face(sigma: WitnessTable, tau: WitnessTable) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Subcomplex slices and the boundary pieces B_V
+# The boundary pieces B_V
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Slice:
-    """A set of simplices of a parent complex, as a slice view."""
-
-    parent: Complex
-    members: frozenset
-
-    @cached_property
-    def sorted_members(self) -> tuple:
-        return tuple(sorted(self.members, key=lambda s: (s.dim, s.pairs)))
-
-    def __contains__(self, sigma) -> bool:
-        return sigma in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def is_closed(self) -> bool:
-        return all(f in self.members for s in self.members for f in self.parent.facets[s])
-
-
-def boundary_subcomplex(k: Complex, ids: Iterable[int]) -> Slice:
-    """The simplices whose round-0 ghost set contains the given ids."""
+def boundary_subcomplex(k: Complex, ids: Iterable[int]) -> frozenset:
+    """B_V: the simplices of k whose round-0 ghost set contains the given ids."""
     v = frozenset(ids)
     if not v <= k.counter.support:
         raise PreconditionViolation(f"{sorted(v)} is not within the support")
-    return Slice(k, frozenset(s for s in k.simplices if v <= s.g(0)))
+    return frozenset(s for s in k.simplices if v <= s.g(0))
 
 
 def delta_v(sigma: WitnessTable, ids: Iterable[int]) -> WitnessTable:
@@ -350,6 +325,11 @@ def cone_check(r: RoundCounter, apex: int) -> bool:
     return maps_faces(k, join, base, base.simplices) and maps_faces(k, cone, base, base.simplices)
 
 
+def is_zero_one(r: RoundCounter) -> bool:
+    """The chromatic check's precondition: every round count is 0 or 1."""
+    return all(v in (0, 1) for _, v in r)
+
+
 def chromatic_check(r: RoundCounter) -> bool:
     """Compare the built complex with the direct chromatic-subdivision description.
 
@@ -357,7 +337,7 @@ def chromatic_check(r: RoundCounter) -> bool:
     round-0 layer covers the support, whose active round-0 part equals the
     union of all later layers, and whose later layers are pairwise disjoint.
     """
-    if any(v not in (0, 1) for _, v in r):
+    if not is_zero_one(r):
         raise PreconditionViolation("chromatic check needs a 0/1-valued counter")
     act = tuple(sorted(r.active))
     supp = tuple(sorted(r.support))

@@ -16,9 +16,10 @@ that keeps every stratum closed under faces and the gamma/rho pair
 mutually inverse.
 
 Membership reads nothing but the layer-1 data (R_1, G_1, G_0), or G_0 alone
-for a single-layer simplex, so every stratum and its Y and Z parts are unions
-of the classes of simplices sharing that data; ``membership`` is the one
-statement of the rule, asked once per class.
+for a single-layer simplex, so every stratum is a union of the classes of
+simplices sharing that data; ``membership`` is the one statement of the rule,
+asked once per class.  A stratum is the frozenset of its members, simplices
+of the built complex.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import InvalidArgument, PreconditionViolation
 from .rounds import RoundCounter, subsets
 from .reports import CheckRecord, Report
 from . import witness
-from .complexes import Complex, Slice, boundary_subcomplex, build, delta_v, maps_faces, undelta_v
+from .complexes import Complex, boundary_subcomplex, build, delta_v, maps_faces, undelta_v
 from .witness import WitnessTable
 
 IN_Y = "in_Y"
@@ -86,18 +87,14 @@ def _classes(k: Complex) -> tuple:
     return tuple(groups.values())
 
 
-def _part(k: Complex, sid: StratumId, kinds) -> frozenset:
-    """The union of the classes whose membership in sid is one of kinds."""
-    return frozenset(s for cls in _classes(k) if membership(cls[0], sid) in kinds for s in cls)
-
-
 @lru_cache(maxsize=1024)
-def stratum(k: Complex, sid: StratumId) -> Slice:
+def stratum(k: Complex, sid: StratumId) -> frozenset:
+    """X_{S,A,V}: the union of the classes of k whose membership in sid is not OUT."""
     sid.validate(k.counter)
-    out = Slice(k, _part(k, sid, (IN_Y, IN_Z)))
-    if not out.is_closed():
+    members = frozenset(s for cls in _classes(k) if membership(cls[0], sid) != OUT for s in cls)
+    if not all(f in members for s in members for f in k.facets[s]):
         raise AssertionError(f"stratum {sid} is not boundary-closed")
-    return out
+    return members
 
 
 def _subsets(elems) -> list:
@@ -109,15 +106,13 @@ def _slices(k: Complex):
     """Subsets of the active set, and the X_{S,A}, Y_{S,A} and Z_S tables (V = 0).
 
     X_{S,A} is the memoized stratum.  ``membership`` decides Z before Y, and
-    Z does not depend on A, so Y_{S,A} is X_{S,A} less Z_S.
+    Z does not depend on A, so Y_{S,A} is X_{S,A} less Z_S.  Z_S is X_{S,S}:
+    with A = S a Y member would need S inside G_1, which Z has already taken.
     """
     subsets = _subsets(k.counter.active)
-    x, y, z = {}, {}, {}
-    for s in subsets:
-        z[s] = _part(k, StratumId(s), (IN_Z,))
-        for a in _subsets(s):
-            x[(s, a)] = stratum(k, StratumId(s, a)).members
-            y[(s, a)] = x[(s, a)] - z[s]
+    x = {(s, a): stratum(k, StratumId(s, a)) for s in subsets for a in _subsets(s)}
+    z = {s: x[(s, s)] for s in subsets}
+    y = {(s, a): xs - z[s] for (s, a), xs in x.items()}
     return subsets, x, y, z
 
 
@@ -213,8 +208,8 @@ def verify_stratum_iso(r: RoundCounter, sid: StratumId) -> bool:
     sid.validate(r)
     k = build(r)
     target = build(r.reduce(sid.first, sid.ghosts))
-    image = {sigma: gamma(sigma, sid) for sigma in stratum(k, sid).members}
-    if not maps_faces(k, image, target, boundary_subcomplex(target, sid.round0).members):
+    image = {sigma: gamma(sigma, sid) for sigma in stratum(k, sid)}
+    if not maps_faces(k, image, target, boundary_subcomplex(target, sid.round0)):
         return False
     return all(
         rho_sa(tau, sid.first, sid.ghosts) == sigma and tau.active_set == sigma.active_set
@@ -331,8 +326,8 @@ def verify_diagrams(r: RoundCounter) -> Report:
     records = []
 
     def replay(check, params, sid, law):
-        """Record the first member of the stratum sid that breaks law, if any."""
-        bad = next((sigma for sigma in stratum(k, sid).sorted_members if not law(sigma)), None)
+        """Record the least member, in lattice order, of the stratum sid that breaks law, if any."""
+        bad = min((sigma for sigma in stratum(k, sid) if not law(sigma)), key=lambda s: (s.dim, s.pairs), default=None)
         records.append(CheckRecord(check, _fmt(*params), bad is None, None if bad is None else bad.key))
 
     # strata-within-strata: peeling A then S agrees with peeling S|A at once
@@ -412,7 +407,7 @@ def strata_partition(k: Complex) -> Report:
     ]
     interiors_of = {sigma: [] for sigma in k.simplices}  # filled in sid order
     for sid in sids:
-        for sigma in stratum(k, sid).members:
+        for sigma in stratum(k, sid):
             if not delta_v(gamma(sigma, sid), sid.round0).g(0):
                 interiors_of[sigma].append((sid.first, sid.ghosts, sid.round0))
     records = []

@@ -43,8 +43,8 @@ from tests.helpers import (
 )
 
 CORPUS_STRUCT = counters_with(3, 5) + [RoundCounter.of(1, 1, 1, 1)]
-CORPUS_STRATA = counters_with(3, 4)
-CORPUS_COLLAPSE = counters_with(3, 4) + [RoundCounter.of(1, 1, 1)]
+CORPUS_STRATA = counters_with(3, 4) + [RoundCounter.of(1, 1, 1, 1), RoundCounter.of(2, 1, 1, 1)]
+CORPUS_COLLAPSE = CORPUS_STRATA
 
 
 def _ok(number: int, label: str) -> None:

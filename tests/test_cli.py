@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from snapcomplex import RoundCounter
+from snapcomplex import RoundCounter, chromatic_check, cli, decomposition
 from snapcomplex.cli import main
+from snapcomplex.errors import PreconditionViolation
+from snapcomplex.reports import CheckRecord, Report
+from tests.helpers import counters_with
 
 
 def run(capsys, *argv):
@@ -69,6 +72,40 @@ def test_verify_cone_applicable(capsys):
     code, out, _ = run(capsys, "verify", "--counter", "1,0", "--checks", "cone")
     assert code == 0
     assert out.startswith("cone: ok")
+
+
+def test_verify_chromatic_skips_a_counter_that_is_not_0_1(capsys):
+    code, out, _ = run(capsys, "verify", "--counter", "2,1", "--checks", "chromatic")
+    assert (code, out) == (0, "chromatic: skipped (counter is not 0/1-valued)\n")
+    code, out, _ = run(capsys, "verify", "--counter", "2,1", "--checks", "chromatic", "--format", "json")
+    assert (code, out) == (
+        0,
+        '{"check":"chromatic","counterexample":null,"ok":true,"params":"skipped: counter is not 0/1-valued"}\n',
+    )
+
+
+def test_chromatic_skips_exactly_where_its_check_raises():
+    skip = cli.CHECKS["chromatic"][0]
+    for r in counters_with(3, 4):
+        try:
+            chromatic_check(r)
+            raised = False
+        except PreconditionViolation:
+            raised = True
+        assert (skip(r) is not None) == raised, r
+
+
+def test_report_checks_show_their_first_failed_record(capsys, monkeypatch):
+    rep = Report((CheckRecord("law", "a", True), CheckRecord("law", "b", False, "x"), CheckRecord("law", "c", False, "y")))
+    for name in ("verify_incidence", "verify_diagrams", "strata_partition"):
+        monkeypatch.setattr(decomposition, name, lambda _: rep)
+    code, out, _ = run(capsys, "verify", "--counter", "1,1", "--checks", "incidence,diagrams,partition")
+    assert code == 1
+    assert out == (
+        "incidence: FAIL (1,1) counterexample=law b\n"
+        "diagrams: FAIL (1,1) counterexample=law b\n"
+        "partition: FAIL (1,1) counterexample=b\n"
+    )
 
 
 def test_build_point_complex(capsys):
@@ -150,8 +187,6 @@ def test_verify_other_counters_pass(capsys):
 
 
 def test_failing_check_sets_exit_code(capsys, monkeypatch):
-    from snapcomplex import cli
-
     monkeypatch.setitem(cli.CHECKS, "pure", (None, lambda r, structure: (False, "some-simplex-key")))
     code, out, _ = run(capsys, "verify", "--counter", "1,1", "--checks", "pure,homology")
     assert code == 1

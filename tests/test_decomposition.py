@@ -8,6 +8,7 @@ from snapcomplex import (
     StratumId,
     WitnessTable,
     all_stratum_ids,
+    boundary_subcomplex,
     build,
     containment_anomalies,
     delta_v,
@@ -27,6 +28,7 @@ from snapcomplex.decomposition import IN_Y, IN_Z, OUT, _slices
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
 from tests.helpers import (
     all_prestructures,
+    counters_with,
     delta_v_oracle,
     gamma_oracle,
     membership_brute,
@@ -80,10 +82,10 @@ def test_stratum_id_checks_what_needs_no_counter_when_made():
 def test_stratum_examples():
     k = build(R11)
     x0 = stratum(k, StratumId({0}))
-    assert keys(x0.members) == keys({A_EDGE, V0, W, EMPTY})
-    assert x0.is_closed()
+    assert keys(x0) == keys({A_EDGE, V0, W, EMPTY})
+    assert all(f in x0 for s in x0 for f in k.facets[s])
     z01 = stratum(k, StratumId({0, 1}, {0, 1}))
-    assert keys(z01.members) == {EMPTY.key}
+    assert keys(z01) == {EMPTY.key}
     # every top starting with the whole active set lies in that stratum
     for values in [(1, 1), (1, 1, 1), (2, 1)]:
         r = RoundCounter.of(*values)
@@ -108,7 +110,7 @@ def test_gamma_rho_single_layer_extension():
     sid = StratumId({0}, {0})
     k = build(r)
     z = stratum(k, sid)
-    assert keys(z.members) == keys({WitnessTable([({1}, {0})]), WitnessTable([((), {0, 1})])})
+    assert keys(z) == keys({WitnessTable([({1}, {0})]), WitnessTable([((), {0, 1})])})
     assert gamma(WitnessTable([({1}, {0})]), sid) == WitnessTable([({1}, ())])
     assert rho_sa(WitnessTable([({1}, ())]), {0}, {0}) == WitnessTable([({1}, {0})])
     assert verify_stratum_iso(r, sid)
@@ -149,7 +151,7 @@ def test_stratum_matches_per_simplex_oracle():
                 for v in _subsets(r.support - s):
                     sid = StratumId(s, a, v)
                     want = {sigma for sigma in k.simplices if membership_brute(sigma, sid) != OUT}
-                    assert stratum(k, sid).members == want, (values, sid)
+                    assert stratum(k, sid) == want, (values, sid)
 
 
 def test_slices_match_oracle_slices():
@@ -208,7 +210,7 @@ def test_transport_maps_match_validating_oracles_on_strata():
             for a in _subsets(s):
                 for v in _subsets(r.support - s):
                     sid = StratumId(s, a, v)
-                    for sigma in stratum(k, sid).members:
+                    for sigma in stratum(k, sid):
                         tau = _agree(gamma, gamma_oracle, sigma, sid)
                         _agree(delta_v, delta_v_oracle, sigma, v)
                         _agree(undelta_v, undelta_v_oracle, tau, a)
@@ -220,7 +222,7 @@ def test_verify_stratum_iso_examples():
     # image of the full first-class stratum is the whole reduced complex
     k = build(RoundCounter.of(0, 0))
     x = stratum(build(R11), StratumId({0, 1}))
-    assert {gamma(s, StratumId({0, 1})) for s in x.members} == set(k.simplices)
+    assert {gamma(s, StratumId({0, 1})) for s in x} == set(k.simplices)
 
 
 def test_verify_stratum_iso_all_small():
@@ -242,7 +244,7 @@ def test_verify_stratum_iso_catches_rigged_maps(monkeypatch):
     r, sid = RoundCounter.of(1, 1, 1), StratumId({0, 1}, {1})
     target_r = r.reduce(sid.first, sid.ghosts)
     # u has the largest dimension in the stratum, so no member has u as a face
-    v, u = sorted(stratum(build(r), sid).members, key=lambda s: (s.dim, s.key))[-2:]
+    v, u = sorted(stratum(build(r), sid), key=lambda s: (s.dim, s.key))[-2:]
     real_gamma, real_build = decomposition.gamma, decomposition.build
     assert verify_stratum_iso(r, sid)
     with monkeypatch.context() as m:
@@ -285,11 +287,11 @@ def test_partition_term_counts_three_processes():
 
 def test_incidence_examples():
     k = build(R11)
-    x0 = stratum(k, StratumId({0})).members
-    x1 = stratum(k, StratumId({1})).members
-    x01 = stratum(k, StratumId({0, 1})).members
-    x01_0 = stratum(k, StratumId({0, 1}, {0})).members
-    x01_1 = stratum(k, StratumId({0, 1}, {1})).members
+    x0 = stratum(k, StratumId({0}))
+    x1 = stratum(k, StratumId({1}))
+    x01 = stratum(k, StratumId({0, 1}))
+    x01_0 = stratum(k, StratumId({0, 1}, {0}))
+    x01_1 = stratum(k, StratumId({0, 1}, {1}))
     assert x0 & x1 == frozenset({EMPTY})
     assert x01 & x0 == frozenset({EMPTY, W})
     assert x01_0 == frozenset({EMPTY, W})
@@ -316,7 +318,7 @@ def test_containment_criterion_converse_fails_on_small_counters():
     ]
     for s, a, t, b in got:
         k = build(R11)
-        assert stratum(k, StratumId(s, a)).members <= stratum(k, StratumId(t, b)).members
+        assert stratum(k, StratumId(s, a)) <= stratum(k, StratumId(t, b))
     assert containment_anomalies(RoundCounter.of(0, 0)) == []
 
 
@@ -349,7 +351,16 @@ def test_all_strata_boundary_closed():
         r = RoundCounter.of(*values)
         k = build(r)
         for sid in all_stratum_ids(r):
-            assert stratum(k, sid).is_closed()
+            x = stratum(k, sid)
+            assert all(f in x for s in x for f in k.facets[s])
+
+
+def test_boundary_piece_is_the_stratum_with_empty_first_class():
+    # B_V's rule V <= G_0 is membership's round-0 gate, with S = A = {}
+    for r in counters_with(3, 4) + [RoundCounter.of(1, 1, 1, 1)]:
+        k = build(r)
+        for v in _subsets(r.support):
+            assert boundary_subcomplex(k, v) == stratum(k, StratumId((), (), v)), (r, v)
 
 
 def test_union_of_strata_covers_complex():
@@ -359,7 +370,7 @@ def test_union_of_strata_covers_complex():
         union = set()
         for sid in all_stratum_ids(r):
             if sid.first:
-                union |= stratum(k, sid).members
+                union |= stratum(k, sid)
         assert union == set(k.simplices)
 
 
@@ -426,7 +437,7 @@ def test_verify_stratum_iso_catches_swapped_vertex_images(monkeypatch):
     r = RoundCounter.of(1, 1, 1)
     sid = StratumId({0})
     assert verify_stratum_iso(r, sid)
-    u, v = [s for s in stratum(build(r), sid).sorted_members if s.dim == 0 and s.color == 1]
+    u, v = sorted((s for s in stratum(build(r), sid) if s.dim == 0 and s.color == 1), key=lambda s: s.pairs)
     real_gamma, real_rho_sa = decomposition.gamma, decomposition.rho_sa
     gu, gv = real_gamma(u, sid), real_gamma(v, sid)
     swap, back = {u: gv, v: gu}, {gv: u, gu: v}
