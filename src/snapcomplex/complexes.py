@@ -90,14 +90,11 @@ def build(r: RoundCounter) -> Complex:
     while queue:
         sigma = queue.pop()
         faces = []
-        for tau in sorted(
-            (witness.ghost_one(sigma, p) for p in sorted(sigma.active_set)),
-            key=lambda s: s.pairs,
-        ):
-            if tau not in seen:
-                seen[tau] = tau
+        for tau in sorted((witness.ghost_one(sigma, p) for p in sigma.active_set), key=lambda s: s.pairs):
+            face = seen.setdefault(tau, tau)
+            if face is tau:
                 queue.append(tau)
-            faces.append(seen[tau])
+            faces.append(face)
         facets[sigma] = tuple(faces)
     simplices = tuple(sorted(seen, key=lambda s: (s.dim, s.pairs)))
     cofacets = {s: [] for s in simplices}
@@ -314,7 +311,14 @@ def cone_check(r: RoundCounter, apex: int) -> bool:
         raise PreconditionViolation(f"process {apex} is not passive")
     k = build(r)
     base = build(r.delete((apex,)))
-    join = {s: WitnessTable(((s.w(0) - {apex}, s.g(0)),) + s.pairs[1:]) for s in k.simplices if apex in s.w(0)}
+
+    def strip(s):
+        # a passive apex occurs only in W_0, so dropping it keeps P1-P3,
+        # every later W part and the class
+        w0, g0 = s.pairs[0]
+        return WitnessTable._trusted(((tuple(q for q in w0 if q != apex), g0),) + s.pairs[1:], s.classification)
+
+    join = {s: strip(s) for s in k.simplices if apex in s.pairs[0][0]}
     cone = {s: delta_v(s, (apex,)) for s in k.simplices if apex in s.g(0)}
     if len(join) + len(cone) != len(k.simplices):
         return False

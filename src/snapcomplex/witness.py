@@ -18,11 +18,17 @@ exact round-trip translation.  The three operators are the canonical form C
 layer), the stabilization st_S (ghost the set S and truncate the traces at
 the last layer that still witnesses something outside S and the ghosts), and
 ghosting Gamma_S = C . st_S, the face operator of the snapshot complexes.
+Single ghosting ``ghost_one``, the kernel of the face lattice, is a one-layer
+edit: the last W part of a witness structure holds only active processes, so
+unless it is exactly {p} nothing is truncated, and Gamma_{p} moves p from W
+to G at the last layer that witnesses it, dropping that layer when it
+empties.  Only when the last W part is {p} does it run the general operator.
 The operators work directly on the table layers, not through the trace form,
 and build their results with the trusted constructor: they are valid by
 construction.  So do the stratum transport maps of ``complexes`` and
-``decomposition``, whose results take their class from ``kind_of``.  Every
-other table, including any built from outside input, is validated.
+``decomposition``, whose results take their class from ``kind_of``, and the
+join images of ``complexes.cone_check``.  Every other table, including any
+built from outside input, is validated.
 
 Everything here is an immutable value; operations return new objects.
 """
@@ -125,9 +131,10 @@ class WitnessTable:
     def _trusted(cls, pairs: tuple, kind: str) -> "WitnessTable":
         """Skip validation for pairs that are normalized, valid and of class
         ``kind`` by construction.  Only the face operators here,
-        ``complexes.enumerate_top`` and the stratum transport maps
+        ``complexes.enumerate_top``, the stratum transport maps
         (``decomposition.gamma``/``rho``, ``complexes.delta_v``/``undelta_v``)
-        use it; every other input goes through the validating constructor."""
+        and the join images of ``complexes.cone_check`` use it; every other
+        input goes through the validating constructor."""
         self = cls.__new__(cls)
         self.pairs = pairs
         self.classification = kind
@@ -369,6 +376,38 @@ def ghost(sigma: WitnessTable, ghosted: Iterable[int]) -> WitnessTable:
 
 
 def ghost_one(sigma: WitnessTable, p: int) -> WitnessTable:
+    """Ghost one active process: the face of sigma opposite p.
+
+    Equal to ``ghost(sigma, (p,))``, errors included.  Every ghost sits in G
+    at some layer, and P3 keeps it out of that W and every later one, so the
+    last W part holds only active processes.  Unless it is exactly (p,), the
+    stabilization truncates nothing, and p is the only process that moves:
+    every other swallowed process is already in G at a surviving layer.  So
+    the face is sigma with p moved from W to G at l, the last layer whose W
+    holds p; when that empties W_l (l >= 1, and l < t since W_t is not (p,)),
+    the canonical form drops layer l and merges its G, p included, into
+    layer l+1's G.  When the last W is (p,), or sigma is not a witness
+    structure, or p is not active, the general operator runs.
+    """
+    layers = sigma.pairs
+    if sigma.is_witness and layers[-1][0] != (p,):
+        for l in range(len(layers) - 1, -1, -1):
+            w, g = layers[l]
+            if p in w:
+                i = w.index(p)
+                # the id as stored, so the result holds exactly sigma's ids
+                g = tuple(sorted(g + w[i : i + 1]))
+                w = w[:i] + w[i + 1 :]
+                if w:
+                    out = layers[:l] + ((w, g),) + layers[l + 1 :]
+                else:
+                    # 0 < l < t: W_0 = (p,) would force W_t = (p,) (P1).
+                    # Ghost layers are pairwise disjoint (P2), so a sort merges them
+                    w1, g1 = layers[l + 1]
+                    out = layers[:l] + ((w1, tuple(sorted(g + g1))),) + layers[l + 2 :]
+                return WitnessTable._trusted(out, WITNESS)
+            if p in g:
+                break  # a ghost, not active
     return ghost(sigma, (p,))
 
 

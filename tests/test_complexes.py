@@ -311,6 +311,31 @@ def test_checks_after_build_never_ghost(monkeypatch):
                 assert cone_check(r, p), (r, p)
 
 
+def test_cone_check_join_images_equal_validated_tables(monkeypatch):
+    # cone_check builds its join images unvalidated; each must be the table
+    # the validating constructor makes of the simplex without its apex
+    real = complexes.maps_faces
+    images = []
+
+    def recording(k, image, target, onto):
+        images.append(image)
+        return real(k, image, target, onto)
+
+    monkeypatch.setattr(complexes, "maps_faces", recording)
+    checked = 0
+    for r in CORPUS_STRUCT:
+        for p in sorted(r.passive):
+            images.clear()
+            assert cone_check(r, p), (r, p)
+            join = images[0]  # the join part is mapped first
+            assert join and all(p in s.w(0) for s in join), (r, p)
+            for s, image in join.items():
+                want = WitnessTable(((s.w(0) - {p}, s.g(0)),) + s.pairs[1:])
+                assert (image.pairs, image.classification) == (want.pairs, want.classification), (r, p, s)
+            checked += len(join)
+    assert checked > 0
+
+
 def test_lattice_vertex_sets_equal_ghosted_vertices():
     for r in CORPUS_STRUCT:
         k = build(r)
@@ -375,6 +400,14 @@ EXPORT_SHA256 = {
     ("2,1", "collapse"): "9f28cd9cf65b207b73862b3e2040ac88de13d0bcd6b7bf6f23b1f2c39ced2409",
 }
 
+# sha256 of `complex_to_json` on two-round counters: the face loop in `build`
+# and the single-ghosting kernel decide every facet list and its order
+BUILD_JSON_SHA256 = {
+    "2,2,1": "b6e3044347d6e060812e31011d81c4783f41efe3e9687214aa82d49a3b80ae4d",
+    "2,2,2": "530a8797a45f3d253a30f61a4e659ed26af43bbc087741e2304ce76a2122f759",
+    "2,1,1,1": "283bb39cbb19ec896efb2c7e4df02b797277e2cc528794500a588a9b2bafde0f",
+}
+
 
 def test_export_bytes_pinned():
     for counter in ("1,1,1", "2,1"):
@@ -388,6 +421,12 @@ def test_export_bytes_pinned():
         for name, text in texts.items():
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             assert digest == EXPORT_SHA256[counter, name], (counter, name)
+
+
+def test_two_round_build_json_pinned():
+    for counter, want in BUILD_JSON_SHA256.items():
+        text = complex_to_json(build(RoundCounter.parse(counter)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want, counter
 
 
 # sha256 of `verify --format json` stdout; a stratum rewrite that moves one

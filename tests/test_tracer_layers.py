@@ -11,7 +11,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from snapcomplex import cli
+from snapcomplex import RoundCounter, cli, complexes, witness
 
 
 def _load(name, monkeypatch):
@@ -38,3 +38,18 @@ def test_benchmark_commands_parse_and_report_in_check_order(monkeypatch):
     for workload in bench.WORKLOADS.values():
         parser.parse_args(workload.argv(bench.counter_text(workload.values, 0)))  # SystemExit on a rejected option
     assert tuple(cli.CHECKS) == bench.VERIFY_OK + ("cone",)
+
+
+def test_build_calls_the_kernel_through_its_module_attribute(monkeypatch):
+    # the tracer counts witness.ghost_one by wrapping that attribute; a face
+    # loop that bypassed it would zero witness.ghost_one_calls and _us
+    real = witness.ghost_one
+    calls = []
+
+    def counting(sigma, p):
+        calls.append(p)
+        return real(sigma, p)
+
+    monkeypatch.setattr(witness, "ghost_one", counting)
+    k = complexes.build.__wrapped__(RoundCounter.of(2, 1, 1))
+    assert len(calls) == sum(len(k.facets[s]) for s in k.simplices) > 0

@@ -24,6 +24,7 @@ from snapcomplex.errors import InvalidArgument, PreconditionViolation
 from snapcomplex.witness import _normalize_pairs
 from tests.helpers import (
     all_prestructures,
+    all_witness_structures,
     canonical_oracle,
     canonical_via_kept_layers,
     derived_oracle,
@@ -302,6 +303,36 @@ def test_trace_count_drop_can_hit_other_ghosts():
     assert out.m_count(2) == 1
 
 
+def test_ghost_one_equals_ghost_exhaustive():
+    # the one-layer edit against the general operator, on every witness
+    # structure over four processes with up to four layers; both branches run
+    general = 0
+    for sigma in all_witness_structures(universe=(0, 1, 2, 3), max_t=3):
+        for p in sigma.active_set:
+            got, want = ghost_one(sigma, p), ghost(sigma, (p,))
+            assert (got.pairs, got.classification) == (want.pairs, want.classification), (sigma, p)
+            general += sigma.pairs[-1][0] == (p,)
+    assert general == 28620
+
+
+def _precondition_message(op, *args):
+    try:
+        op(*args)
+    except PreconditionViolation as exc:
+        return str(exc)
+    return None
+
+
+def test_ghost_one_rejects_exactly_what_ghost_rejects():
+    rejected = 0
+    for sigma in all_prestructures(universe=(0, 1, 2), max_t=3):
+        for p in range(4):
+            message = _precondition_message(ghost_one, sigma, p)
+            assert message == _precondition_message(ghost, sigma, (p,)), (sigma, p)
+            rejected += message is not None
+    assert rejected > 0
+
+
 def test_complete_examples():
     r = RoundCounter.of(1, 1)
     sigma = WitnessTable([({0, 1}, ()), ({0}, {1})])
@@ -335,7 +366,17 @@ def test_key_roundtrip_and_ordering():
 
 # the functions whose results are valid by construction; a new trusted call
 # site has to be added here on purpose
-TRUSTED_CALLERS = {"canonical_form", "stabilize", "enumerate_top", "gamma", "rho", "delta_v", "undelta_v"}
+TRUSTED_CALLERS = {
+    "canonical_form",
+    "stabilize",
+    "ghost_one",
+    "enumerate_top",
+    "cone_check",
+    "gamma",
+    "rho",
+    "delta_v",
+    "undelta_v",
+}
 
 
 def _trusted_sites(tree):
