@@ -36,7 +36,6 @@ from .complexes import (
     enumerate_top,
     path_profile,
     structural_checks,
-    vertices,
 )
 from .decomposition import (
     StratumId,

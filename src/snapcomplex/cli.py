@@ -10,6 +10,7 @@ reports to line-delimited JSON.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 
@@ -239,7 +240,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (``| head``); devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -107,19 +107,6 @@ def build(r: RoundCounter) -> Complex:
     return Complex(r, simplices, tuple(tops), facets, cofacets)
 
 
-def vertices(sigma: WitnessTable) -> frozenset:
-    """The 0-faces: ghost everything but one active process."""
-    act = sigma.active_set
-    return frozenset(witness.ghost(sigma, act - {a}) for a in act)
-
-
-def has_face(sigma: WitnessTable, tau: WitnessTable) -> bool:
-    """Face criterion: tau <= sigma iff tau is the ghosting of sigma by A(sigma)-A(tau)."""
-    if not tau.active_set <= sigma.active_set:
-        return False
-    return witness.ghost(sigma, sigma.active_set - tau.active_set) == tau
-
-
 # ---------------------------------------------------------------------------
 # The boundary pieces B_V
 # ---------------------------------------------------------------------------
@@ -376,27 +363,32 @@ def chromatic_check(r: RoundCounter) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def complex_to_json_obj(k: Complex) -> dict:
-    key = {s: s.key for s in k.simplices}  # each key once per export
-    return {
-        "counter": {str(p): v for p, v in k.counter},
-        "f_vector": list(k.f_vector),
-        "tops": [key[s] for s in k.tops],
-        "simplices": [
-            {"key": key[s], "dim": s.dim, "facets": [key[f] for f in k.facets[s]]}
-            for s in k.simplices
-        ],
-    }
-
-
 def complex_to_json(k: Complex) -> str:
-    return json.dumps(complex_to_json_obj(k), sort_keys=True, separators=(",", ":"))
+    """The bytes of ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
+    on {"counter", "f_vector", "simplices": [{"dim", "facets", "key"}, ...],
+    "tops"}, written as text.  Keys from ``witness.keys`` hold only digits,
+    brackets and commas, so they need no escaping."""
+    key = witness.keys(k.simplices)
+    counter = {str(p): v for p, v in k.counter}  # sort_keys puts "10" before "2"
+    head = json.dumps({"counter": counter, "f_vector": list(k.f_vector)}, sort_keys=True, separators=(",", ":"))
+    parts = [head[:-1], ',"simplices":[']
+    sep = ""
+    for d in range(-1, k.dim + 1):  # the order of k.simplices
+        for s in k.by_dim.get(d, ()):
+            parts.append(f'{sep}{{"dim":{d},"facets":{_key_list(key, k.facets[s])},"key":"{key[s]}"}}')
+            sep = ","
+    parts.append(f'],"tops":{_key_list(key, k.tops)}}}')
+    return "".join(parts)
+
+
+def _key_list(key: dict, simplices) -> str:
+    return '["' + '","'.join([key[s] for s in simplices]) + '"]' if simplices else "[]"
 
 
 def complex_to_dot(k: Complex) -> str:
     """Dual graph in DOT form; tops touching the boundary are flagged."""
     adj = _dual_graph_adjacency(k)
-    key = {s: s.key for s in k.tops}  # each key once per export
+    key = witness.keys(k.tops)
     lines = ["graph dual {"]
     for s in k.tops:
         on_boundary = any(f.g(0) for f in k.facets[s])

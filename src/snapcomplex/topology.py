@@ -31,7 +31,7 @@ from .errors import CollapseStuck, PreconditionViolation
 from .rounds import RoundCounter, subsets
 from .complexes import Complex, build
 from .decomposition import rho_sa
-from .witness import WitnessTable
+from .witness import WitnessTable, keys
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,10 @@ class CollapseSequence:
         return f"step {index}"
 
     def to_json_obj(self) -> dict:
+        key = keys([t for s in self.steps for t in (s.free, s.coface)] + list(self.residual))
         return {
-            "steps": [{"free": s.free.key, "coface": s.coface.key} for s in self.steps],
-            "residual": [s.key for s in self.residual],
+            "steps": [{"free": key[s.free], "coface": key[s.coface]} for s in self.steps],
+            "residual": [key[s] for s in self.residual],
         }
 
     def to_json(self) -> str:
@@ -172,7 +173,7 @@ def collapse_to_point(r: RoundCounter) -> CollapseSequence:
         c = next(c for c in k.cofacets[s] if c in alive)
         return None if live[c] else c
 
-    key = {s: s.key for s in alive}  # each survivor's key, computed once
+    key = keys(alive)  # each survivor's key, computed once
     heap = [(key[s], s) for s in alive if free_coface(s) is not None]
     heapq.heapify(heap)
     start = len(steps)

@@ -28,7 +28,8 @@ and build their results with the trusted constructor: they are valid by
 construction.  So do the stratum transport maps of ``complexes`` and
 ``decomposition``, whose results take their class from ``kind_of``, and the
 join images of ``complexes.cone_check``.  Every other table, including any
-built from outside input, is validated.
+built from outside input, is validated.  ``keys`` makes the JSON keys of
+many tables at once, printing each distinct layer once.
 
 Everything here is an immutable value; operations return new objects.
 """
@@ -105,6 +106,13 @@ def kind_of(pairs) -> str:
     if any(not w for w, _ in pairs[1:]):
         return STABLE
     return WITNESS
+
+
+def _layer_text(pair) -> str:
+    """The compact JSON of one (W, G) layer, built by string joins: the ids
+    are ints and never bools, so ``str`` prints them as JSON does."""
+    w, g = pair
+    return "[[" + ",".join(map(str, w)) + "],[" + ",".join(map(str, g)) + "]]"
 
 
 class WitnessTable:
@@ -220,15 +228,22 @@ class WitnessTable:
 
     @property
     def key(self) -> str:
-        """The compact JSON of the pairs, built by string joins: the ids are
-        ints and never bools, so ``str`` prints them as JSON does."""
-        return "[" + ",".join(
-            "[[" + ",".join(map(str, w)) + "],[" + ",".join(map(str, g)) + "]]" for w, g in self.pairs
-        ) + "]"
+        """The compact JSON of the pairs, one ``_layer_text`` per layer."""
+        return "[" + ",".join(map(_layer_text, self.pairs)) + "]"
 
     @classmethod
     def from_key(cls, key: str) -> "WitnessTable":
         return cls(json.loads(key))
+
+
+def keys(tables) -> dict:
+    """Map each table to its ``key``, printing each distinct layer once per
+    call: a lattice has many tables but few distinct layers."""
+    text = {}  # layer pair -> its _layer_text
+    return {
+        s: "[" + ",".join([text.get(pair) or text.setdefault(pair, _layer_text(pair)) for pair in s.pairs]) + "]"
+        for s in tables
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ kept-layer index list, executions via unpruned sequence filtering.  The
 stratum transport maps keep their validating bodies here.  Every table
 oracle builds its result with the validating ``WitnessTable`` constructor.
 The collapse schedule keeps its unmemoized plan and its greedy tail that
-re-sorts the survivors at every step.
+re-sorts the survivors at every step.  The vertex sets and the face relation
+are read off ghosting, and the JSON export is an object tree passed through
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 from itertools import combinations, product
 
-from snapcomplex import RoundCounter, WitnessTable, from_trace, trace_form
+from snapcomplex import RoundCounter, WitnessTable, from_trace, ghost, trace_form
 from snapcomplex.decomposition import IN_Y, IN_Z, OUT, rho_sa
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
 from snapcomplex.topology import CollapseBatch, CollapseStep
@@ -198,6 +200,37 @@ def m_count_brute(sigma: WitnessTable, p: int) -> int:
     return sum(1 for i in range(sigma.t + 1) if p in sigma.w(i) or p in sigma.g(i))
 
 
+def vertices(sigma: WitnessTable) -> frozenset:
+    """The 0-faces: ghost everything but one active process."""
+    act = sigma.active_set
+    return frozenset(ghost(sigma, act - {a}) for a in act)
+
+
+def has_face(sigma: WitnessTable, tau: WitnessTable) -> bool:
+    """Face criterion: tau <= sigma iff tau is the ghosting of sigma by A(sigma)-A(tau)."""
+    if not tau.active_set <= sigma.active_set:
+        return False
+    return ghost(sigma, sigma.active_set - tau.active_set) == tau
+
+
+def complex_json_oracle(k) -> str:
+    """The JSON export as an object tree passed through ``json.dumps``, with
+    each key printed whole by ``WitnessTable.key``."""
+    key = {s: s.key for s in k.simplices}
+    return json.dumps(
+        {
+            "counter": {str(p): v for p, v in k.counter},
+            "f_vector": list(k.f_vector),
+            "tops": [key[s] for s in k.tops],
+            "simplices": [
+                {"key": key[s], "dim": s.dim, "facets": [key[f] for f in k.facets[s]]} for s in k.simplices
+            ],
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
 def enumerate_top_brute(r: RoundCounter) -> set:
     """Unpruned route: filter all bounded layer sequences by occurrence counts."""
     act = tuple(sorted(r.active))
@@ -376,7 +409,6 @@ def greedy_tail_oracle(k, survivors) -> list:
 
 def betti_of_simplex_set(simplices) -> tuple:
     """Mod-2 Betti numbers of an arbitrary downward-closed simplex set."""
-    from snapcomplex import ghost
     from snapcomplex.topology import gf2_rank
 
     members = set(simplices)

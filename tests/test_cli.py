@@ -11,7 +11,7 @@ from snapcomplex import RoundCounter, chromatic_check, cli, decomposition
 from snapcomplex.cli import main
 from snapcomplex.errors import PreconditionViolation
 from snapcomplex.reports import CheckRecord, Report
-from tests.helpers import counters_with
+from tests.helpers import counters_with, vertices
 
 
 def run(capsys, *argv):
@@ -294,6 +294,23 @@ def test_deep_counter_exits_cleanly():
         assert "Traceback" not in proc.stderr, argv
 
 
+def test_closed_stdout_exits_1_without_traceback():
+    # `snapcomplex build ... | head -c 10`: 261 KB of JSON overfill the pipe,
+    # so the write after the reader closes it meets a broken pipe
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "snapcomplex.cli", "build", "--counter", "2,2,2", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(4096).startswith(b'{"counter"')
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == "", err  # no traceback
+
+
 # sha256 of stdout for (command, counter, format) on counters too large for
 # the default suite; a change to the witness kernel, the face order, the
 # collapse schedule or the exports moves one of them
@@ -328,4 +345,4 @@ def test_verify_and_lattice_vertex_sets_on_large_counters():
     for values in ((2, 2, 2, 1), (3, 3, 3)):
         k = complexes.build.__wrapped__(RoundCounter.of(*values))  # not kept in the build cache
         verts = complexes._vertex_sets(k)
-        assert all(verts[s] == complexes.vertices(s) for s in k.simplices), values
+        assert all(verts[s] == vertices(s) for s in k.simplices), values

@@ -21,13 +21,19 @@ from snapcomplex import (
     indexes_simplex,
     path_profile,
     structural_checks,
-    vertices,
     witness,
 )
-from snapcomplex.complexes import Complex, expected_endpoint, has_face
+from snapcomplex.complexes import Complex, expected_endpoint
 from snapcomplex.errors import PreconditionViolation
 from snapcomplex.topology import collapse_to_point
-from tests.helpers import counters_with, enumerate_top_brute, m_count_brute
+from tests.helpers import (
+    complex_json_oracle,
+    counters_with,
+    enumerate_top_brute,
+    has_face,
+    m_count_brute,
+    vertices,
+)
 
 # the structural corpus of the acceptance suite
 CORPUS_STRUCT = counters_with(3, 5) + [RoundCounter.of(1, 1, 1, 1)]
@@ -387,6 +393,47 @@ def test_exports():
     assert dot.startswith("graph dual {")
     assert dot.count(" -- ") == 2
     assert dot.count("boundary=true") == 2
+
+
+# counters whose ids or shapes stress the JSON writer: a lone process, gaps
+# before and between ids, two-digit ids, passive processes
+EDGE_COUNTERS = (
+    "0", "x,0", "0,0", "1", "1,x,x,x,x,x,x,x,x,x,1", "x,x,1,x,x,x,x,x,x,x,1", "x,x,x,x,x,x,x,x,x,x,2,1", "2,x,1,0",
+    "1,1,x,0",
+)
+
+
+def _json_corpus():
+    # one counter at a time: the corpus is larger than the build cache
+    for r in CORPUS_STRUCT + [RoundCounter.parse(text) for text in EDGE_COUNTERS]:
+        yield r, build(r)
+
+
+def test_complex_to_json_equals_the_object_tree():
+    for r, k in _json_corpus():
+        assert complex_to_json(k) == complex_json_oracle(k), r
+
+
+def test_batch_keys_equal_each_key():
+    for r, k in _json_corpus():
+        key = witness.keys(k.simplices)
+        assert len(key) == len(k.simplices), r
+        assert all(key[s] == s.key for s in k.simplices), r
+
+
+# sha256 of `complex_to_json` on counters with a two-digit id.  The counter
+# object lists ids in string order and keys list them in numeric order; the
+# two orders differ on the second counter ("10" before "2")
+SPARSE_JSON_SHA256 = {
+    "1,x,x,x,x,x,x,x,x,x,1": "0fc0c2e32486fa71e6a9307aef3db7929c18c83f8ff46aab09cdde64b52f72c3",
+    "x,x,1,x,x,x,x,x,x,x,1": "911fea6e50b946834f521469c67a46fa232bcc289aba28a0290b7b35758180ce",
+}
+
+
+def test_sparse_counter_json_pinned():
+    for counter, want in SPARSE_JSON_SHA256.items():
+        text = complex_to_json(build(RoundCounter.parse(counter)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want, counter
 
 
 # sha256 of the exported bytes; a witness kernel that reorders a layer or a

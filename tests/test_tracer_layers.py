@@ -53,3 +53,21 @@ def test_build_calls_the_kernel_through_its_module_attribute(monkeypatch):
     monkeypatch.setattr(witness, "ghost_one", counting)
     k = complexes.build.__wrapped__(RoundCounter.of(2, 1, 1))
     assert len(calls) == sum(len(k.facets[s]) for s in k.simplices) > 0
+
+
+def test_cli_exports_through_the_module_attribute(monkeypatch):
+    # the tracer times complexes.complex_to_json and sizes its result by
+    # wrapping that attribute; a CLI that bypassed it would zero
+    # complexes.complex_to_json_s and complexes.json_bytes
+    real = complexes.complex_to_json
+    calls = []
+
+    def counting(k):
+        calls.append(k.counter)
+        return real(k)
+
+    monkeypatch.setattr(complexes, "complex_to_json", counting)
+    for argv in (["build", "--counter", "2,1", "--format", "json"], ["export", "--counter", "2,1"]):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert calls == [RoundCounter.of(2, 1)], argv
