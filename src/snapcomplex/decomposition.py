@@ -66,15 +66,24 @@ class StratumId:
 
 
 def membership(sigma: WitnessTable, sid: StratumId) -> str:
-    """Y/Z membership of a simplex, gated by the round-0 condition."""
-    if not sid.round0 <= sigma.g(0):
+    """Y/Z membership of a simplex, gated by the round-0 condition.
+
+    Reads the stored layer tuples and builds no set.  R_1 == S is decided
+    by size and containment: W_1 and G_1 are disjoint (P3) and hold no
+    repeated id, so |R_1| = |W_1| + |G_1|.
+    """
+    pairs = sigma.pairs
+    g0 = pairs[0][1]
+    if not sid.round0.issubset(g0):
         return OUT
-    if sigma.t == 0:
-        return IN_Z if sid.first <= sigma.g(0) else OUT
-    if sid.first <= sigma.g(1):
+    first = sid.first
+    if len(pairs) == 1:
+        return IN_Z if first.issubset(g0) else OUT
+    w1, g1 = pairs[1]
+    if first.issubset(g1):
         return IN_Z
-    if sigma.r_set(1) == sid.first and sid.ghosts <= sigma.g(1):
-        return IN_Y
+    if len(w1) + len(g1) == len(first) and first.issuperset(w1) and first.issuperset(g1):
+        return IN_Y if sid.ghosts.issubset(g1) else OUT
     return OUT
 
 
@@ -203,18 +212,20 @@ def verify_stratum_iso(r: RoundCounter, sid: StratumId) -> bool:
     The target is ``boundary_subcomplex(build(r.reduce(S, A)), V)``; it and
     the stratum are closed, so no face leaves either.  Since every member
     must keep its active set, equal face sets pair each face of sigma with
-    the face of tau that lacks the same process.
+    the face of tau that lacks the same process.  A member that gamma or
+    rho_sa rejects breaks the isomorphism.
     """
     sid.validate(r)
     k = build(r)
     target = build(r.reduce(sid.first, sid.ghosts))
-    image = {sigma: gamma(sigma, sid) for sigma in stratum(k, sid)}
-    if not maps_faces(k, image, target, boundary_subcomplex(target, sid.round0)):
+    try:
+        image = {sigma: gamma(sigma, sid) for sigma in stratum(k, sid)}
+        return maps_faces(k, image, target, boundary_subcomplex(target, sid.round0)) and all(
+            rho_sa(tau, sid.first, sid.ghosts) == sigma and tau.active_set == sigma.active_set
+            for sigma, tau in image.items()
+        )
+    except (InvalidArgument, PreconditionViolation):
         return False
-    return all(
-        rho_sa(tau, sid.first, sid.ghosts) == sigma and tau.active_set == sigma.active_set
-        for sigma, tau in image.items()
-    )
 
 
 def all_stratum_ids(r: RoundCounter) -> list:
@@ -245,6 +256,7 @@ def verify_incidence(r: RoundCounter) -> Report:
     """Containment, pairwise and multiple intersections, and the Y/Z laws."""
     act = frozenset(r.active)
     subsets, x, y, z = _slices(build(r))
+    name = {s: _fmt(s) for s in subsets}  # the params text of each subset
     records = []
 
     def add(check, params, ok, ce=None):
@@ -253,7 +265,7 @@ def verify_incidence(r: RoundCounter) -> Report:
     pairs = sorted(x, key=lambda sa: (sorted(sa[0]), sorted(sa[1])))
     for s, a in pairs:
         for tt, b in pairs:
-            params = _fmt(s, a, tt, b)
+            params = f"{name[s]} {name[a]} {name[tt]} {name[b]}"
             contained = not _implies_containment(s, a, tt, b) or x[(s, a)] <= x[(tt, b)]
             add("containment", params, contained)
             if s == tt:
@@ -285,14 +297,14 @@ def verify_incidence(r: RoundCounter) -> Report:
                     want = x[(s1, union_rest)]
                 else:
                     want = z[s1 | union_rest]
-                add("multi-intersection", _fmt(s1, *rest), inter == want)
+                add("multi-intersection", " ".join(map(name.get, (s1, *rest))), inter == want)
 
     # X_{A,A} as the union of the strictly larger strata with the same ghosts
     for a in subsets:
         if a == act:
             continue
         covered = frozenset().union(*(x[(s, a)] for s in subsets if a < s))
-        add("union-xaa", _fmt(a), x[(a, a)] == covered)
+        add("union-xaa", name[a], x[(a, a)] == covered)
 
     return Report(tuple(records))
 
@@ -320,14 +332,36 @@ def containment_anomalies(r: RoundCounter) -> list:
 
 
 def verify_diagrams(r: RoundCounter) -> Report:
-    """Replay the three commuting squares on every admissible parameter tuple."""
+    """Replay the three commuting squares on every admissible parameter tuple.
+
+    gamma is a pure function of the table and of S and A, so the squares
+    read it through ``peel``: within one call each (table, sid) pair is
+    peeled once, and the image of a member under StratumId(S, A) serves
+    every B of the ghost-forcing square and every V of the boundary square.
+    A member that a map rejects breaks the law.
+    """
     k = build(r)
     subsets = _subsets(r.active)
     records = []
+    images = {}  # sid -> {table: gamma(table, sid)}, filled on demand
+
+    def peel(sigma, sid):
+        known = images.setdefault(sid, {})
+        image = known.get(sigma)
+        if image is None:
+            image = known[sigma] = gamma(sigma, sid)
+        return image
 
     def replay(check, params, sid, law):
         """Record the least member, in lattice order, of the stratum sid that breaks law, if any."""
-        bad = min((sigma for sigma in stratum(k, sid) if not law(sigma)), key=lambda s: (s.dim, s.pairs), default=None)
+
+        def broken(sigma):
+            try:
+                return not law(sigma)
+            except (InvalidArgument, PreconditionViolation):
+                return True
+
+        bad = min(filter(broken, stratum(k, sid)), key=lambda s: (s.dim, s.pairs), default=None)
         records.append(CheckRecord(check, _fmt(*params), bad is None, None if bad is None else bad.key))
 
     # strata-within-strata: peeling A then S agrees with peeling S|A at once
@@ -340,11 +374,11 @@ def verify_diagrams(r: RoundCounter) -> Report:
             peel_s, peel_sa = StratumId(s), StratumId(s | a, a)
 
             def law(sigma):
-                step = gamma(sigma, peel_a)
+                step = peel(sigma, peel_a)
                 return (
                     membership(step, peel_s) != OUT
                     and step in rest
-                    and gamma(step, peel_s) == gamma(sigma, peel_sa)
+                    and peel(step, peel_s) == peel(sigma, peel_sa)
                 )
 
             replay("diagram-strata", (s, a), peel_sa, law)
@@ -359,23 +393,23 @@ def verify_diagrams(r: RoundCounter) -> Report:
                     "diagram-ghost-forcing",
                     (s, a, b),
                     more,
-                    lambda sigma: gamma(sigma, fewer) == undelta_v(gamma(sigma, more), a - b),
+                    lambda sigma: peel(sigma, fewer) == undelta_v(peel(sigma, more), a - b),
                 )
 
     # peeling the first class commutes with stripping round-0 ghosts
     for s in subsets[1:]:  # S nonempty
         for a in _subsets(s):
-            peel = StratumId(s, a)
+            sid = StratumId(s, a)
             for v in _subsets(r.support - s):
                 dropped = build(r.delete(v))
 
                 def law(sigma):
-                    phi, psi = gamma(sigma, peel), delta_v(sigma, v)
+                    phi, psi = peel(sigma, sid), delta_v(sigma, v)
                     return (
                         v <= phi.g(0)
-                        and membership(psi, peel) != OUT
+                        and membership(psi, sid) != OUT
                         and psi in dropped
-                        and delta_v(phi, v) == gamma(psi, peel)
+                        and delta_v(phi, v) == peel(psi, sid)
                     )
 
                 replay("diagram-boundary", (s, a, v), StratumId(s, a, v), law)
@@ -394,7 +428,8 @@ def strata_partition(k: Complex) -> Report:
     Single-layer simplices are the faces of the passive-set simplex; every
     other simplex is interior to the stratum named by its own layer data
     (R_1, G_1, G_0), and to no other.  Interior-ness is decided through the
-    transport maps, independently of that formula.
+    transport maps, independently of that formula; a member that the maps
+    reject fails, naming the first stratum that holds it.
     """
     r = k.counter
     passive = frozenset(r.passive)
@@ -406,12 +441,19 @@ def strata_partition(k: Complex) -> Report:
         for v in _subsets(r.support - s)
     ]
     interiors_of = {sigma: [] for sigma in k.simplices}  # filled in sid order
+    rejected = {}  # member -> the first stratum whose maps reject it
     for sid in sids:
         for sigma in stratum(k, sid):
-            if not delta_v(gamma(sigma, sid), sid.round0).g(0):
-                interiors_of[sigma].append((sid.first, sid.ghosts, sid.round0))
+            try:
+                if not delta_v(gamma(sigma, sid), sid.round0).g(0):
+                    interiors_of[sigma].append((sid.first, sid.ghosts, sid.round0))
+            except (InvalidArgument, PreconditionViolation):
+                rejected.setdefault(sigma, sid)
     records = []
     for sigma, interiors in interiors_of.items():
+        if sigma in rejected:
+            records.append(CheckRecord("partition", sigma.key, False, f"rejected by {rejected[sigma]!r}"))
+            continue
         if sigma.t == 0:
             ok = not interiors and sigma.w(0) <= passive
         else:

@@ -24,12 +24,11 @@ independent replay validator is the arbiter of legality.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
 from .errors import CollapseStuck, PreconditionViolation
 from .rounds import RoundCounter, subsets
-from .complexes import Complex, build
+from .complexes import Complex, _key_list, build
 from .decomposition import rho_sa
 from .witness import WitnessTable, keys
 
@@ -71,15 +70,18 @@ class CollapseSequence:
                 return f"step {index} (stage {b.stage}, S={s}, A={a})"
         return f"step {index}"
 
-    def to_json_obj(self) -> dict:
-        key = keys([t for s in self.steps for t in (s.free, s.coface)] + list(self.residual))
-        return {
-            "steps": [{"free": key[s.free], "coface": key[s.coface]} for s in self.steps],
-            "residual": [key[s] for s in self.residual],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        """The bytes of ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
+        on {"residual": [key, ...], "steps": [{"coface", "free"}, ...]}, written
+        as text like ``complexes.complex_to_json``: keys need no escaping."""
+        key = keys([t for s in self.steps for t in (s.free, s.coface)] + list(self.residual))
+        parts = ['{"residual":', _key_list(key, self.residual), ',"steps":[']
+        sep = ""
+        for s in self.steps:
+            parts.append(f'{sep}{{"coface":"{key[s.coface]}","free":"{key[s.free]}"}}')
+            sep = ","
+        parts.append("]}")
+        return "".join(parts)
 
 
 def _collapse_plan(r: RoundCounter, p: int, memo: dict):

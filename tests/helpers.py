@@ -8,8 +8,8 @@ stratum transport maps keep their validating bodies here.  Every table
 oracle builds its result with the validating ``WitnessTable`` constructor.
 The collapse schedule keeps its unmemoized plan and its greedy tail that
 re-sorts the survivors at every step.  The vertex sets and the face relation
-are read off ghosting, and the JSON export is an object tree passed through
-``json.dumps``.
+are read off ghosting, and the JSON exports of a complex and of a collapse
+sequence are object trees passed through ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -225,6 +225,19 @@ def complex_json_oracle(k) -> str:
             "simplices": [
                 {"key": key[s], "dim": s.dim, "facets": [key[f] for f in k.facets[s]]} for s in k.simplices
             ],
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def collapse_json_oracle(seq) -> str:
+    """The collapse export as an object tree passed through ``json.dumps``,
+    with each key printed whole by ``WitnessTable.key``."""
+    return json.dumps(
+        {
+            "steps": [{"free": s.free.key, "coface": s.coface.key} for s in seq.steps],
+            "residual": [s.key for s in seq.residual],
         },
         sort_keys=True,
         separators=(",", ":"),

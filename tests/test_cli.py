@@ -108,6 +108,25 @@ def test_report_checks_show_their_first_failed_record(capsys, monkeypatch):
     )
 
 
+def test_a_stratum_member_the_maps_reject_fails_its_checks(capsys, monkeypatch):
+    # X_{{0,1},{0}} of 1,1,1 rigged to hold a top that gamma rejects: each
+    # verifier replaying a law on it reports a failure instead of raising
+    from snapcomplex import complexes
+
+    r = RoundCounter.of(1, 1, 1)
+    k, sid = complexes.build(r), decomposition.StratumId({0, 1}, {0})
+    real = decomposition.stratum
+    monkeypatch.setattr(
+        decomposition, "stratum", lambda kk, s: real(kk, s) | {k.tops[0]} if kk is k and s == sid else real(kk, s)
+    )
+    code, out, err = run(capsys, "verify", "--counter", "1,1,1", "--checks", "incidence,diagrams,partition")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["incidence", "diagrams", "partition"]
+    assert lines[1].startswith("diagrams: FAIL") and lines[2].startswith("partition: FAIL")
+    assert not decomposition.verify_stratum_iso(r, sid)
+
+
 def test_build_point_complex(capsys):
     code, out, _ = run(capsys, "build", "--counter", "1,x")
     assert code == 0

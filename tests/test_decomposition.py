@@ -66,6 +66,17 @@ def test_membership_examples():
     assert membership(A_EDGE, StratumId({0}, (), {1})) == OUT
 
 
+def test_membership_matches_oracle_on_every_prestructure():
+    # every valid (S, A, V) over ids {0, 1, 2}, round-0 sets included, on
+    # every table of the corpus, OUT included
+    universe = frozenset({0, 1, 2})
+    sids = [StratumId(s, a, v) for s in _subsets(universe) for a in _subsets(s) for v in _subsets(universe - s)]
+    assert len(sids) == 64
+    for sigma in all_prestructures((0, 1, 2), 3):
+        for sid in sids:
+            assert membership(sigma, sid) == membership_brute(sigma, sid), (sigma, sid)
+
+
 def test_stratum_id_checks_what_needs_no_counter_when_made():
     with pytest.raises(InvalidArgument):
         StratumId({0}, {0, 1})  # A not inside S
@@ -451,3 +462,37 @@ def test_verify_stratum_iso_catches_swapped_vertex_images(monkeypatch):
     monkeypatch.setattr(decomposition, "gamma", rigged_gamma)
     monkeypatch.setattr(decomposition, "rho_sa", rigged_rho_sa)
     assert not verify_stratum_iso(r, sid)
+
+
+# sha256 of repr(report.records): every params string, verdict and
+# counterexample of the three verifiers, which `verify` shows only up to the
+# first failure
+RECORDS_SHA256 = {
+    ("1,1,1,1", "incidence"): (20850, "7c8b6d20992fb890ed3fcb7c923c3f70a0740f878aacd605e27a329ec47a9e71"),
+    ("1,1,1,1", "diagrams"): (560, "3f447dd61aac1c408802be14ffcd6f44e210ea4718912c546032bc045791bcee"),
+    ("1,1,1,1", "partition"): (416, "011fde7f1d02d149b8782273feb33b7f8cd0193823a59527c33b388d95c8d63a"),
+    ("2,2,1", "incidence"): (2315, "d4b81377cdbc85dba0ece806aa641c5a5213aca4b7b37a6da2f172bd6d19be46"),
+    ("2,2,1", "diagrams"): (138, "3aa4683a1e83831d04bae6f52c20dd5b2d46f0cdf7da3e5bdef159e36a3d47b8"),
+    ("2,2,1", "partition"): (328, "98c5cab7e4537cc1f7a2a8e6b9b803d614ab9b74e97d24d8a96e80847daa00e3"),
+}
+
+
+def test_verifier_records_pinned():
+    verifiers = {
+        "incidence": verify_incidence,
+        "diagrams": verify_diagrams,
+        "partition": lambda r: strata_partition(build(r)),
+    }
+    for (counter, name), want in RECORDS_SHA256.items():
+        records = verifiers[name](RoundCounter.parse(counter)).records
+        assert (len(records), hashlib.sha256(repr(records).encode()).hexdigest()) == want, (counter, name)
+
+
+def test_verify_diagrams_peels_each_member_once(monkeypatch):
+    # one gamma image per (table, stratum) pair within a call: 2 495 peels
+    # where the three squares ask for 12 046
+    real_gamma = decomposition.gamma
+    calls = []
+    monkeypatch.setattr(decomposition, "gamma", lambda sigma, sid: calls.append((sigma, sid)) or real_gamma(sigma, sid))
+    assert verify_diagrams(RoundCounter.of(1, 1, 1, 1)).ok
+    assert len(calls) == len(set(calls)) == 2495

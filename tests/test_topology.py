@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -16,7 +17,13 @@ from snapcomplex import (
 from snapcomplex import topology
 from snapcomplex.errors import CollapseStuck, PreconditionViolation
 from snapcomplex.topology import CollapseBatch, CollapseStep, gf2_rank
-from tests.helpers import betti_of_simplex_set, collapse_plan_oracle, counters_with, greedy_tail_oracle
+from tests.helpers import (
+    betti_of_simplex_set,
+    collapse_json_oracle,
+    collapse_plan_oracle,
+    counters_with,
+    greedy_tail_oracle,
+)
 
 
 def test_collapse_pair_two_process():
@@ -158,10 +165,19 @@ def test_collapse_prefixes_preserve_homology():
 
 def test_collapse_sequence_json():
     seq = collapse_to_point(RoundCounter.of(1, 1))
-    obj = seq.to_json_obj()
+    obj = json.loads(seq.to_json())
     assert len(obj["steps"]) == 3
     assert set(obj["steps"][0]) == {"free", "coface"}
     assert len(obj["residual"]) == 2
+
+
+def test_collapse_json_matches_object_tree_oracle():
+    for values in [(1, 1), (2, 1, 1), (1, 1, 1, 1), (2, 2, 1)]:
+        seq = collapse_to_point(RoundCounter.of(*values))
+        assert seq.to_json() == collapse_json_oracle(seq), values
+    # no steps (a point complex), and no residual (a one-process pair)
+    for seq in (collapse_to_point(RoundCounter.of(2)), collapse_pair(RoundCounter.of(3), 0)):
+        assert seq.to_json() == collapse_json_oracle(seq)
 
 
 def _oracle_corpus():
