@@ -5,7 +5,7 @@ full support whose trace counts match the counter (exactly r(p)+1 occurrences
 for active processes, at most that for ghosts).  Top simplices are exactly
 the executions: sequences of nonempty concurrency classes.  The face lattice
 is generated downward from the tops by single-element ghosting, which yields
-precisely the codimension-1 faces.
+precisely the codimension-1 faces, one dimension at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import InvalidArgument, PreconditionViolation
@@ -82,29 +83,41 @@ class Complex:
 
 @lru_cache(maxsize=128)
 def build(r: RoundCounter) -> Complex:
-    """Downward closure of the executions under single-element ghosting."""
-    tops = sorted(enumerate_top(r), key=lambda s: s.pairs)
+    """Downward closure of the executions under single-element ghosting,
+    walked one dimension at a time.
+
+    The tops, sorted by pairs, are level n.  Each face of a level-d simplex
+    lies in level d-1, so a level's new faces, sorted by pairs, are the next
+    level, and the levels joined from dimension -1 up are the simplices in
+    (dim, pairs) order.  Each face is deduped within its level, and the
+    simplex it came from is appended to its cofacet list in the same pass:
+    a level is walked in pairs order, so every cofacet list comes out sorted.
+    """
+    ghost_one = witness.ghost_one  # the module attribute, which the tracer wraps
+    by_pairs = attrgetter("pairs")
+    level = sorted(enumerate_top(r), key=by_pairs)
+    tops = tuple(level)
+    levels = []
     facets = {}
-    queue = list(tops)
-    seen = {s: s for s in tops}  # each simplex -> its one canonical object
-    while queue:
-        sigma = queue.pop()
-        faces = []
-        for tau in sorted((witness.ghost_one(sigma, p) for p in sigma.active_set), key=lambda s: s.pairs):
-            face = seen.setdefault(tau, tau)
-            if face is tau:
-                queue.append(tau)
-            faces.append(face)
-        facets[sigma] = tuple(faces)
-    simplices = tuple(sorted(seen, key=lambda s: (s.dim, s.pairs)))
-    cofacets = {s: [] for s in simplices}
-    # the cofacets of a simplex share one dimension, so walking the simplices
-    # in (dim, pairs) order appends each list already sorted by pairs
-    for sigma in simplices:
-        for tau in facets[sigma]:
-            cofacets[tau].append(sigma)
-    cofacets = {s: tuple(cof) for s, cof in cofacets.items()}
-    return Complex(r, simplices, tuple(tops), facets, cofacets)
+    cofacets = {s: [] for s in tops}
+    while level:
+        levels.append(level)
+        seen = {}  # each face of this level -> its one canonical object
+        for sigma in level:
+            faces = sorted([ghost_one(sigma, p) for p in sigma.active_set], key=by_pairs)
+            for i, tau in enumerate(faces):
+                face = seen.setdefault(tau, tau)
+                if face is tau:
+                    cofacets[tau] = [sigma]
+                else:
+                    cofacets[face].append(sigma)
+                    faces[i] = face
+            facets[sigma] = tuple(faces)
+        level = sorted(seen, key=by_pairs)
+    for s, cof in cofacets.items():
+        cofacets[s] = tuple(cof)
+    simplices = tuple(s for done in reversed(levels) for s in done)
+    return Complex(r, simplices, tops, facets, cofacets)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,13 @@ exact round-trip translation.  The three operators are the canonical form C
 layer), the stabilization st_S (ghost the set S and truncate the traces at
 the last layer that still witnesses something outside S and the ghosts), and
 ghosting Gamma_S = C . st_S, the face operator of the snapshot complexes.
-Single ghosting ``ghost_one``, the kernel of the face lattice, is a one-layer
-edit: the last W part of a witness structure holds only active processes, so
-unless it is exactly {p} nothing is truncated, and Gamma_{p} moves p from W
-to G at the last layer that witnesses it, dropping that layer when it
-empties.  Only when the last W part is {p} does it run the general operator.
+Single ghosting ``ghost_one``, the kernel of the face lattice, edits the
+layers directly: the last W part of a witness structure holds only active
+processes, so unless it is exactly {p} nothing is truncated, and Gamma_{p}
+moves p from W to G at the last layer that witnesses it, dropping that layer
+when it empties.  When the last W part is {p}, one backward pass from the cut
+moves the swallowed processes and merges the layers that empty, reusing
+every other layer; only invalid input reaches the general operator.
 The operators work directly on the table layers, not through the trace form,
 and build their results with the trusted constructor: they are valid by
 construction.  So do the stratum transport maps of ``complexes`` and
@@ -393,19 +395,27 @@ def ghost(sigma: WitnessTable, ghosted: Iterable[int]) -> WitnessTable:
 def ghost_one(sigma: WitnessTable, p: int) -> WitnessTable:
     """Ghost one active process: the face of sigma opposite p.
 
-    Equal to ``ghost(sigma, (p,))``, errors included.  Every ghost sits in G
-    at some layer, and P3 keeps it out of that W and every later one, so the
-    last W part holds only active processes.  Unless it is exactly (p,), the
-    stabilization truncates nothing, and p is the only process that moves:
-    every other swallowed process is already in G at a surviving layer.  So
-    the face is sigma with p moved from W to G at l, the last layer whose W
-    holds p; when that empties W_l (l >= 1, and l < t since W_t is not (p,)),
-    the canonical form drops layer l and merges its G, p included, into
-    layer l+1's G.  When the last W is (p,), or sigma is not a witness
-    structure, or p is not active, the general operator runs.
+    Equal to ``ghost(sigma, (p,))``, errors included, without the general
+    operator's intermediate tables.  Every ghost sits in G at some layer,
+    and P3 keeps it out of that W and every later one, so the last W part
+    holds only active processes.  Unless it is exactly (p,), nothing is
+    truncated and p is the only process that moves: the face is sigma with
+    p moved from W to G at l, the last layer whose W holds p; when that
+    empties W_l (l >= 1, and l < t since W_t is not (p,)), the canonical
+    form drops layer l and merges its G, p included, into layer l+1's G.
+    When the last W is (p,), p is active (P3), and the face is cut at the
+    last layer whose W is not inside swallowed = {p} and the ghosts.  One
+    backward pass from the cut moves each swallowed process that occurs
+    after the cut from W to G at its last layer up to the cut, and merges
+    the G of a layer whose W empties into the next kept layer; sigma's
+    other layer tuples are reused.  Only a sigma that is not a witness
+    structure, or a p that is not active, reaches the general operator,
+    which raises.
     """
     layers = sigma.pairs
-    if sigma.is_witness and layers[-1][0] != (p,):
+    if not sigma.is_witness:
+        return ghost(sigma, (p,))
+    if layers[-1][0] != (p,):
         for l in range(len(layers) - 1, -1, -1):
             w, g = layers[l]
             if p in w:
@@ -423,7 +433,40 @@ def ghost_one(sigma: WitnessTable, p: int) -> WitnessTable:
                 return WitnessTable._trusted(out, WITNESS)
             if p in g:
                 break  # a ghost, not active
-    return ghost(sigma, (p,))
+        return ghost(sigma, (p,))
+    # the last W is (p,): p is active (P3), and the stabilization truncates
+    swallowed = {p}.union(*(g for _, g in layers))
+    cut = len(layers) - 2
+    while cut >= 0 and swallowed.issuperset(layers[cut][0]):
+        cut -= 1
+    if cut < 0:
+        w0, g0 = layers[0]
+        return WitnessTable._trusted((((), tuple(sorted(w0 + g0))),), WITNESS)
+    # the swallowed processes that occur after the cut: p and the ghosts of
+    # the dropped layers.  Each lies in W_0 (P1) and moves at the last layer
+    # up to the cut whose W holds it; every other layer stays as it is
+    pending = {p}.union(*(g for _, g in layers[cut + 1 :]))
+    out = []  # the kept layers from the cut down
+    l = cut
+    while pending:
+        w, g = layers[l]
+        move = tuple(q for q in w if q in pending)
+        if not move:
+            out.append(layers[l])
+        else:
+            pending.difference_update(move)
+            w = tuple(q for q in w if q not in move)
+            g = tuple(sorted(g + move))
+            if w:
+                out.append((w, g))
+            else:
+                # 0 < l < cut: W_0 and W_cut keep a process outside swallowed.
+                # Ghost layers are pairwise disjoint (P2), so a sort merges them
+                w1, g1 = out[-1]
+                out[-1] = (w1, tuple(sorted(g1 + g)))
+        l -= 1
+    out.reverse()
+    return WitnessTable._trusted(layers[: l + 1] + tuple(out), WITNESS)
 
 
 # ---------------------------------------------------------------------------

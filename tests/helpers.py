@@ -9,7 +9,9 @@ oracle builds its result with the validating ``WitnessTable`` constructor.
 The collapse schedule keeps its unmemoized plan and its greedy tail that
 re-sorts the survivors at every step.  The vertex sets and the face relation
 are read off ghosting, and the JSON exports of a complex and of a collapse
-sequence are object trees passed through ``json.dumps``.
+sequence are object trees passed through ``json.dumps``.  The face lattice
+is built depth first with the general ghosting operator, one global sort and
+a separate cofacet pass.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 from itertools import combinations, product
 
 from snapcomplex import RoundCounter, WitnessTable, from_trace, ghost, trace_form
+from snapcomplex.complexes import Complex, enumerate_top
 from snapcomplex.decomposition import IN_Y, IN_Z, OUT, rho_sa
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
 from snapcomplex.topology import CollapseBatch, CollapseStep
@@ -211,6 +214,32 @@ def has_face(sigma: WitnessTable, tau: WitnessTable) -> bool:
     if not tau.active_set <= sigma.active_set:
         return False
     return ghost(sigma, sigma.active_set - tau.active_set) == tau
+
+
+def build_oracle(r: RoundCounter) -> Complex:
+    """Depth-first closure of the executions under ``ghost(sigma, (p,))``,
+    each face deduped through one dict, sorted once by (dim, pairs), and
+    the cofacets inverted from the facets afterwards."""
+    tops = sorted(enumerate_top(r), key=lambda s: s.pairs)
+    facets = {}
+    queue = list(tops)
+    seen = {s: s for s in tops}  # each simplex -> its one canonical object
+    while queue:
+        sigma = queue.pop()
+        faces = []
+        for tau in sorted((ghost(sigma, (p,)) for p in sigma.active_set), key=lambda s: s.pairs):
+            face = seen.setdefault(tau, tau)
+            if face is tau:
+                queue.append(tau)
+            faces.append(face)
+        facets[sigma] = tuple(faces)
+    simplices = tuple(sorted(seen, key=lambda s: (s.dim, s.pairs)))
+    cofacets = {s: [] for s in simplices}
+    for sigma in simplices:
+        for tau in facets[sigma]:
+            cofacets[tau].append(sigma)
+    cofacets = {s: tuple(sorted(cof, key=lambda x: x.pairs)) for s, cof in cofacets.items()}
+    return Complex(r, simplices, tuple(tops), facets, cofacets)
 
 
 def complex_json_oracle(k) -> str:

@@ -27,6 +27,7 @@ from snapcomplex.complexes import Complex, expected_endpoint
 from snapcomplex.errors import PreconditionViolation
 from snapcomplex.topology import collapse_to_point
 from tests.helpers import (
+    build_oracle,
     complex_json_oracle,
     counters_with,
     enumerate_top_brute,
@@ -125,6 +126,42 @@ def test_build_cofacets_are_the_sorted_inverse_of_facets():
             for tau in faces:
                 inverse[tau].append(sigma)
         assert k.cofacets == {s: tuple(sorted(c, key=lambda x: x.pairs)) for s, c in inverse.items()}, r
+
+
+def _assert_build_equals_oracle(r):
+    k, want = complexes.build.__wrapped__(r), build_oracle(r)  # not kept in the build cache
+    assert k.simplices == want.simplices, r
+    assert k.tops == want.tops, r
+    assert k.by_dim == want.by_dim, r
+    canonical = {s: s for s in k.simplices}
+    assert all(s is canonical[s] for s in k.tops), r
+    for table, oracle in ((k.facets, want.facets), (k.cofacets, want.cofacets)):
+        assert len(table) == len(k.simplices), r
+        for sigma in k.simplices:
+            near = table[sigma]
+            assert near == oracle[sigma], (r, sigma)
+            assert all(tau is canonical[tau] for tau in near), (r, sigma)
+
+
+def test_build_equals_the_depth_first_oracle():
+    for r in counters_with(3, 5) + [RoundCounter.parse(t) for t in ("1,1,1,1", "2,x,1,0", "1,1,1,1,1")]:
+        _assert_build_equals_oracle(r)
+
+
+@pytest.mark.slow
+def test_build_equals_the_depth_first_oracle_on_large_counters():
+    for values in ((2, 2, 2, 1), (3, 3, 3)):
+        _assert_build_equals_oracle(RoundCounter.of(*values))
+
+
+def test_build_never_runs_the_general_operator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build ran the general ghosting operator")
+
+    for name in ("ghost", "stabilize", "canonical_form"):
+        monkeypatch.setattr(witness, name, refuse)
+    for r in counters_with(3, 5):
+        assert len(complexes.build.__wrapped__(r)) > 0, r
 
 
 def test_vertices_examples():
@@ -513,6 +550,23 @@ def test_collapse_bytes_pinned(capsys):
         assert main(["collapse", "--counter", counter, "--format", "json"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest == want, counter
+
+
+# sha256 of stdout on relabelled counters like those the benchmark seeds
+# make: gaps and unsorted values move every id in every layer
+RELABELLED_SHA256 = {
+    ("build", "x,2,1,x,2,2"): "1d23d3237f9f0ea9e65de56a51d5212fcd4180c5a8e2420e2364d222eaeafd01",
+    ("collapse", "1,x,1,1,1,1"): "8d52222f88c7a57752cc112d2f78168d5593ff0125f42c3cd097c1e500ba5954",
+}
+
+
+def test_relabelled_counter_bytes_pinned(capsys):
+    from snapcomplex.cli import main
+
+    for (command, counter), want in RELABELLED_SHA256.items():
+        assert main([command, "--counter", counter, "--format", "json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == want, (command, counter)
 
 
 def test_build_is_cached_and_bounded():
