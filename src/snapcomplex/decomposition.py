@@ -30,7 +30,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import InvalidArgument, PreconditionViolation
-from .rounds import RoundCounter, subsets
+from .rounds import RoundCounter, id_set_text, subsets
 from .reports import CheckRecord, Report
 from . import witness
 from .complexes import Complex, boundary_subcomplex, build, delta_v, maps_faces, undelta_v
@@ -239,7 +239,7 @@ def all_stratum_ids(r: RoundCounter) -> list:
 
 
 def _fmt(*sets) -> str:
-    return " ".join("{" + ",".join(map(str, sorted(x))) + "}" for x in sets)
+    return " ".join(map(id_set_text, sets))
 
 
 def _implies_containment(s, a, tt, b) -> bool:

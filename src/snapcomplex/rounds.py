@@ -20,6 +20,11 @@ def is_natural(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
+def id_set_text(ids: Iterable[int]) -> str:
+    """A set of process ids as report text, in increasing order: ``{0,1}``."""
+    return "{" + ",".join(map(str, sorted(ids))) + "}"
+
+
 def subsets(ids: Iterable[int]) -> list:
     """Every subset of ids as a sorted tuple, by size and then lexicographically."""
     ids = sorted(ids)

@@ -27,7 +27,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import CollapseStuck, PreconditionViolation
-from .rounds import RoundCounter, subsets
+from .rounds import RoundCounter, id_set_text, subsets
 from .complexes import Complex, _key_list, build
 from .decomposition import rho_sa
 from .witness import WitnessTable, keys
@@ -66,8 +66,7 @@ class CollapseSequence:
         """Name step index with the stage and stratum batch (S, A) that made it."""
         for b in self.batches:
             if b.start <= index < b.stop:
-                s, a = ("{" + ",".join(map(str, ids)) + "}" for ids in (b.first, b.forced))
-                return f"step {index} (stage {b.stage}, S={s}, A={a})"
+                return f"step {index} (stage {b.stage}, S={id_set_text(b.first)}, A={id_set_text(b.forced)})"
         return f"step {index}"
 
     def to_json(self) -> str:

@@ -18,19 +18,15 @@ exact round-trip translation.  The three operators are the canonical form C
 layer), the stabilization st_S (ghost the set S and truncate the traces at
 the last layer that still witnesses something outside S and the ghosts), and
 ghosting Gamma_S = C . st_S, the face operator of the snapshot complexes.
-Single ghosting ``ghost_one``, the kernel of the face lattice, edits the
-layers directly: the last W part of a witness structure holds only active
-processes, so unless it is exactly {p} nothing is truncated, and Gamma_{p}
-moves p from W to G at the last layer that witnesses it, dropping that layer
-when it empties.  When the last W part is {p}, one backward pass from the cut
-moves the swallowed processes and merges the layers that empty, reusing
-every other layer; only invalid input reaches the general operator.
-The operators work directly on the table layers, not through the trace form,
-and build their results with the trusted constructor: they are valid by
-construction.  So do the stratum transport maps of ``complexes`` and
-``decomposition``, whose results take their class from ``kind_of``, and the
-join images of ``complexes.cone_check``.  Every other table, including any
-built from outside input, is validated.  ``keys`` makes the JSON keys of
+Each is written once, on the table layers and not through the trace form:
+``_stabilized`` is st_S and ``_merge_empty`` is C.  ``ghost`` runs the first
+and merges only when a W part emptied, so it makes no intermediate table;
+``ghost_one``, the face kernel of ``build``, is ``ghost`` of one process.
+The operators build their results with the trusted constructor: they are
+valid by construction.  So do the stratum transport maps of ``complexes``
+and ``decomposition``, whose results take their class from ``kind_of``, and
+the join images of ``complexes.cone_check``.  Every other table, including
+any built from outside input, is validated.  ``keys`` makes the JSON keys of
 many tables at once, printing each distinct layer once.
 
 Everything here is an immutable value; operations return new objects.
@@ -140,7 +136,9 @@ class WitnessTable:
     @classmethod
     def _trusted(cls, pairs: tuple, kind: str) -> "WitnessTable":
         """Skip validation for pairs that are normalized, valid and of class
-        ``kind`` by construction.  Only the face operators here,
+        ``kind`` by construction.  Only the three operators here
+        (``canonical_form``, ``stabilize`` and ``ghost``, which wrap the
+        layers of ``_merge_empty`` and ``_stabilized``),
         ``complexes.enumerate_top``, the stratum transport maps
         (``decomposition.gamma``/``rho``, ``complexes.delta_v``/``undelta_v``)
         and the join images of ``complexes.cone_check`` use it; every other
@@ -332,21 +330,81 @@ def from_trace(tf: TraceForm) -> WitnessTable:
 # ---------------------------------------------------------------------------
 
 
+def _not_active(s: frozenset) -> PreconditionViolation:
+    return PreconditionViolation(f"cannot stabilize by {sorted(s)}: not a subset of the active set")
+
+
+def _stabilized(layers: tuple, ghosted: Iterable[int]) -> tuple:
+    """st_S on the layers: the stabilized layers, and whether a W part emptied.
+
+    The last W part holds no ghost (P3), so only an S that covers it
+    truncates.  Then S must lie in the active set, the cut is the last layer
+    whose W part is not inside S and the ghosts, and the later layers are
+    dropped; when no layer is left the result is the empty structure on the
+    same support.  Each swallowed process, S and the ghosts of the dropped
+    layers, moves from W to G at its last W layer up to the cut, found by a
+    scan from the cut down; a process of S met in a G part, or in no layer,
+    is not active.  Unchanged layers are sigma's own pair objects.
+    """
+    s = frozenset(ghosted)  # read once: ghosted may be a one-shot iterator
+    moving = s
+    if s.issuperset(layers[-1][0]):
+        ghosts = [p for _, g in layers for p in g]
+        if not (s.issubset(layers[0][0]) and s.isdisjoint(ghosts)):
+            raise _not_active(s)
+        swallowed = s.union(ghosts)
+        cut = len(layers) - 1
+        while cut >= 0 and swallowed.issuperset(layers[cut][0]):
+            cut -= 1
+        if cut < 0:
+            w0, g0 = layers[0]
+            return (((), tuple(sorted(w0 + g0))),), False
+        moving = s.union(*(g for _, g in layers[cut + 1 :]))
+        layers = layers[: cut + 1]
+    out = list(layers)
+    emptied = False
+    for q in moving:
+        l = len(out)
+        while l:  # to the last layer that holds q, or layer 0
+            l -= 1
+            w, g = out[l]
+            if q in w or q in g:
+                break
+        if q not in w:
+            raise _not_active(s)
+        i = w.index(q)
+        # w[i : i + 1] keeps the id as stored; ghost layers are pairwise
+        # disjoint (P2), so a sort merges them
+        out[l] = (w[:i] + w[i + 1 :], tuple(sorted(g + w[i : i + 1])))
+        emptied = emptied or len(w) == 1
+    return tuple(out), emptied
+
+
+def _merge_empty(layers: tuple) -> tuple:
+    """C on the layers of a stable prestructure: drop each later layer with
+    an empty W part, merging its G part into the next kept layer's."""
+    out = [layers[0]]
+    carried = ()
+    for pair in layers[1:]:
+        w, g = pair
+        if not w:
+            carried += g
+        elif carried:
+            # ghost layers are pairwise disjoint (P2), so a sort merges them
+            out.append((w, tuple(sorted(carried + g))))
+            carried = ()
+        else:
+            out.append(pair)
+    return tuple(out)
+
+
 def canonical_form(sigma: WitnessTable) -> WitnessTable:
     """Drop layers with empty W part, merging their ghosts into the next kept layer."""
     if not sigma.is_stable:
         raise PreconditionViolation("canonical form is only defined for stable prestructures")
     if sigma.is_witness:
         return sigma
-    pairs = [sigma.pairs[0]]
-    carried = ()
-    for w, g in sigma.pairs[1:]:
-        carried += g
-        if w:
-            # ghost layers are pairwise disjoint (P2), so a sort merges them
-            pairs.append((w, tuple(sorted(carried))))
-            carried = ()
-    return WitnessTable._trusted(tuple(pairs), WITNESS)
+    return WitnessTable._trusted(_merge_empty(sigma.pairs), WITNESS)
 
 
 def stabilize(sigma: WitnessTable, ghosted: Iterable[int]) -> WitnessTable:
@@ -358,115 +416,23 @@ def stabilize(sigma: WitnessTable, ghosted: Iterable[int]) -> WitnessTable:
     whole active set is ghosted) the result is the empty structure on the
     same support.
     """
-    s = frozenset(ghosted)
-    layers = sigma.pairs
-    ghosts = [p for _, g in layers for p in g]
-    # the active set is W_0 less the ghosts
-    if not (s.issubset(layers[0][0]) and s.isdisjoint(ghosts)):
-        raise PreconditionViolation(f"cannot stabilize by {sorted(s)}: not a subset of the active set")
-    swallowed = s.union(ghosts)
-    cut = len(layers) - 1
-    while cut >= 0 and swallowed.issuperset(layers[cut][0]):
-        cut -= 1
-    if cut < 0:
-        return WitnessTable._trusted((((), tuple(sorted(layers[0][0] + layers[0][1]))),), WITNESS)
-    out = []
-    later = set()
-    for w, g in reversed(layers[: cut + 1]):
-        move = [p for p in w if p in swallowed and p not in later]
-        if move:
-            out.append((tuple(p for p in w if p not in move), tuple(sorted(g + tuple(move)))))
-        else:
-            out.append((w, g))
-        later.update(w, g)
-    out.reverse()
-    out = tuple(out)
+    layers, _ = _stabilized(sigma.pairs, ghosted)
     # the cut layer keeps a witnessed process, so the result is at least stable
-    return WitnessTable._trusted(out, kind_of(out))
+    return WitnessTable._trusted(layers, kind_of(layers))
 
 
 def ghost(sigma: WitnessTable, ghosted: Iterable[int]) -> WitnessTable:
-    """The face operator: canonical form of the stabilization."""
+    """The face operator: canonical form of the stabilization.  Sigma's
+    later W parts are nonempty, so only those that st_S empties are merged."""
     if not sigma.is_witness:
         raise PreconditionViolation("ghosting is only defined for witness structures")
-    return canonical_form(stabilize(sigma, ghosted))
+    layers, emptied = _stabilized(sigma.pairs, ghosted)
+    return WitnessTable._trusted(_merge_empty(layers) if emptied else layers, WITNESS)
 
 
 def ghost_one(sigma: WitnessTable, p: int) -> WitnessTable:
-    """Ghost one active process: the face of sigma opposite p.
-
-    Equal to ``ghost(sigma, (p,))``, errors included, without the general
-    operator's intermediate tables.  Every ghost sits in G at some layer,
-    and P3 keeps it out of that W and every later one, so the last W part
-    holds only active processes.  Unless it is exactly (p,), nothing is
-    truncated and p is the only process that moves: the face is sigma with
-    p moved from W to G at l, the last layer whose W holds p; when that
-    empties W_l (l >= 1, and l < t since W_t is not (p,)), the canonical
-    form drops layer l and merges its G, p included, into layer l+1's G.
-    When the last W is (p,), p is active (P3), and the face is cut at the
-    last layer whose W is not inside swallowed = {p} and the ghosts.  One
-    backward pass from the cut moves each swallowed process that occurs
-    after the cut from W to G at its last layer up to the cut, and merges
-    the G of a layer whose W empties into the next kept layer; sigma's
-    other layer tuples are reused.  Only a sigma that is not a witness
-    structure, or a p that is not active, reaches the general operator,
-    which raises.
-    """
-    layers = sigma.pairs
-    if not sigma.is_witness:
-        return ghost(sigma, (p,))
-    if layers[-1][0] != (p,):
-        for l in range(len(layers) - 1, -1, -1):
-            w, g = layers[l]
-            if p in w:
-                i = w.index(p)
-                # the id as stored, so the result holds exactly sigma's ids
-                g = tuple(sorted(g + w[i : i + 1]))
-                w = w[:i] + w[i + 1 :]
-                if w:
-                    out = layers[:l] + ((w, g),) + layers[l + 1 :]
-                else:
-                    # 0 < l < t: W_0 = (p,) would force W_t = (p,) (P1).
-                    # Ghost layers are pairwise disjoint (P2), so a sort merges them
-                    w1, g1 = layers[l + 1]
-                    out = layers[:l] + ((w1, tuple(sorted(g + g1))),) + layers[l + 2 :]
-                return WitnessTable._trusted(out, WITNESS)
-            if p in g:
-                break  # a ghost, not active
-        return ghost(sigma, (p,))
-    # the last W is (p,): p is active (P3), and the stabilization truncates
-    swallowed = {p}.union(*(g for _, g in layers))
-    cut = len(layers) - 2
-    while cut >= 0 and swallowed.issuperset(layers[cut][0]):
-        cut -= 1
-    if cut < 0:
-        w0, g0 = layers[0]
-        return WitnessTable._trusted((((), tuple(sorted(w0 + g0))),), WITNESS)
-    # the swallowed processes that occur after the cut: p and the ghosts of
-    # the dropped layers.  Each lies in W_0 (P1) and moves at the last layer
-    # up to the cut whose W holds it; every other layer stays as it is
-    pending = {p}.union(*(g for _, g in layers[cut + 1 :]))
-    out = []  # the kept layers from the cut down
-    l = cut
-    while pending:
-        w, g = layers[l]
-        move = tuple(q for q in w if q in pending)
-        if not move:
-            out.append(layers[l])
-        else:
-            pending.difference_update(move)
-            w = tuple(q for q in w if q not in move)
-            g = tuple(sorted(g + move))
-            if w:
-                out.append((w, g))
-            else:
-                # 0 < l < cut: W_0 and W_cut keep a process outside swallowed.
-                # Ghost layers are pairwise disjoint (P2), so a sort merges them
-                w1, g1 = out[-1]
-                out[-1] = (w1, tuple(sorted(g1 + g)))
-        l -= 1
-    out.reverse()
-    return WitnessTable._trusted(layers[: l + 1] + tuple(out), WITNESS)
+    """Ghost one active process: the face of sigma opposite p."""
+    return ghost(sigma, (p,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -155,13 +156,32 @@ def test_build_equals_the_depth_first_oracle_on_large_counters():
 
 
 def test_build_never_runs_the_general_operator(monkeypatch):
+    # `ghost` is the face kernel; the two-step route through `stabilize` and
+    # `canonical_form` would make an intermediate table per face, and so would
+    # any second trusted construction inside the kernel
     def refuse(*args):
-        raise AssertionError("build ran the general ghosting operator")
+        raise AssertionError("build ran the two-step ghosting route")
 
-    for name in ("ghost", "stabilize", "canonical_form"):
+    for name in ("stabilize", "canonical_form"):
         monkeypatch.setattr(witness, name, refuse)
+    calls = Counter()
+    trusted, ghost_one = WitnessTable._trusted.__func__, witness.ghost_one
+
+    def counted_trusted(cls, pairs, kind):
+        calls["_trusted"] += 1
+        return trusted(cls, pairs, kind)
+
+    def counted_ghost_one(sigma, p):
+        calls["ghost_one"] += 1
+        return ghost_one(sigma, p)
+
+    monkeypatch.setattr(WitnessTable, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(witness, "ghost_one", counted_ghost_one)
     for r in counters_with(3, 5):
-        assert len(complexes.build.__wrapped__(r)) > 0, r
+        calls.clear()
+        k = complexes.build.__wrapped__(r)
+        assert len(k) > 0, r
+        assert calls["_trusted"] == len(k.tops) + calls["ghost_one"], r
 
 
 def test_vertices_examples():

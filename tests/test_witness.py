@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from itertools import combinations
 from pathlib import Path
 
@@ -304,12 +305,13 @@ def test_trace_count_drop_can_hit_other_ghosts():
 
 
 def test_ghost_one_equals_ghost_exhaustive():
-    # the one-layer edit against the general operator, on every witness
-    # structure over four processes with up to four layers; both branches run
+    # the face kernel against the validated table route, on every witness
+    # structure over four processes with up to four layers; `general` counts
+    # the faces that truncate (the last W part is exactly {p})
     general = 0
     for sigma in all_witness_structures(universe=(0, 1, 2, 3), max_t=3):
         for p in sigma.active_set:
-            got, want = ghost_one(sigma, p), ghost(sigma, (p,))
+            got, want = ghost_one(sigma, p), ghost_oracle(sigma, {p})
             assert (got.pairs, got.classification) == (want.pairs, want.classification), (sigma, p)
             general += sigma.pairs[-1][0] == (p,)
     assert general == 28620
@@ -331,6 +333,32 @@ def test_ghost_one_rejects_exactly_what_ghost_rejects():
             assert message == _precondition_message(ghost, sigma, (p,)), (sigma, p)
             rejected += message is not None
     assert rejected > 0
+
+
+# sha256 of every result (pairs and class) or error (type and message) of the
+# three operators on every prestructure over three processes with up to four
+# layers, for every S inside {0, 1, 2, 3} with |S| <= 3, passed as a tuple and
+# as a one-shot iterator; an operator that reads S twice changes its errors
+OPERATORS_SHA256 = "65896ceff548ae64d7fe225ed7a2a46174f76af8502af03a2588ac24df37f8b1"
+
+
+def _outcome(op, *args) -> str:
+    try:
+        out = op(*args)
+    except (InvalidArgument, PreconditionViolation) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr((out.pairs, out.classification))
+
+
+def test_operator_results_and_errors_pinned():
+    ss = [s for n in range(4) for s in combinations(range(4), n)]
+    lines = []
+    for sigma in all_prestructures(universe=(0, 1, 2), max_t=3):
+        lines.append(_outcome(canonical_form, sigma))
+        for s in ss:
+            for op in (stabilize, ghost):
+                lines += (_outcome(op, sigma, s), _outcome(op, sigma, iter(s)))
+    assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == OPERATORS_SHA256
 
 
 def test_complete_examples():
@@ -369,7 +397,7 @@ def test_key_roundtrip_and_ordering():
 TRUSTED_CALLERS = {
     "canonical_form",
     "stabilize",
-    "ghost_one",
+    "ghost",
     "enumerate_top",
     "cone_check",
     "gamma",
