@@ -17,16 +17,22 @@ mutually inverse.
 
 Membership reads nothing but the layer-1 data (R_1, G_1, G_0), or G_0 alone
 for a single-layer simplex, so every stratum is a union of the classes of
-simplices sharing that data; ``membership`` is the one statement of the rule,
-asked once per class.  A stratum is the frozenset of its members, simplices
-of the built complex.
+simplices sharing that data, and the classes are far fewer than the
+simplices.  Each built complex has one class index: every class lists the
+(S, A, V) it belongs to, read off its own data, and a stratum is the
+frozenset of the members of the classes listed under its id.  The incidence
+laws run on class masks, ints with one bit per class, which is exact since
+the classes are nonempty and partition the simplices.  ``membership`` stays
+the one statement of the rule: ``gamma`` and the laws call it, and the
+tests hold the index to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from collections import namedtuple
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_, or_
 from typing import Iterable
 
 from .errors import InvalidArgument, PreconditionViolation
@@ -41,20 +47,24 @@ IN_Z = "in_Z"
 OUT = "out"
 
 
-@dataclass(frozen=True)
-class StratumId:
-    first: frozenset  # S: the first concurrency class
-    ghosts: frozenset  # A: members of S forced into the layer-1 ghost set
-    round0: frozenset  # V: processes ghosted at round 0
+class StratumId(namedtuple("StratumId", "first ghosts round0")):
+    """(S, A, V): S the first concurrency class, A the members of S forced
+    into the layer-1 ghost set, V the processes ghosted at round 0."""
 
-    def __init__(self, first: Iterable[int], ghosts: Iterable[int] = (), round0: Iterable[int] = ()):
-        object.__setattr__(self, "first", frozenset(first))
-        object.__setattr__(self, "ghosts", frozenset(ghosts))
-        object.__setattr__(self, "round0", frozenset(round0))
+    __slots__ = ()
+
+    def __new__(cls, first: Iterable[int], ghosts: Iterable[int] = (), round0: Iterable[int] = ()):
+        self = super().__new__(cls, frozenset(first), frozenset(ghosts), frozenset(round0))
         if not self.ghosts <= self.first:
             raise InvalidArgument(f"need ghosts <= first, got {self}")
         if self.round0 & self.first:
             raise InvalidArgument(f"round-0 set must avoid the first class, got {self}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """``_replace`` builds through here, so a replaced id is checked too."""
+        return cls(*iterable)
 
     def validate(self, r: RoundCounter) -> None:
         """The conditions that need the counter: S active, V in the support."""
@@ -96,32 +106,74 @@ def _classes(k: Complex) -> tuple:
     return tuple(groups.values())
 
 
-@lru_cache(maxsize=1024)
-def stratum(k: Complex, sid: StratumId) -> frozenset:
-    """X_{S,A,V}: the union of the classes of k whose membership in sid is not OUT."""
-    sid.validate(k.counter)
-    members = frozenset(s for cls in _classes(k) if membership(cls[0], sid) != OUT for s in cls)
-    if not all(f in members for s in members for f in k.facets[s]):
-        raise AssertionError(f"stratum {sid} is not boundary-closed")
-    return members
-
-
 def _subsets(elems) -> list:
     """Every subset of elems as a frozenset, in ``subsets`` order."""
     return [frozenset(c) for c in subsets(elems)]
 
 
-def _slices(k: Complex):
-    """Subsets of the active set, and the X_{S,A}, Y_{S,A} and Z_S tables (V = 0).
+@lru_cache(maxsize=8)
+def _class_index(k: Complex) -> dict:
+    """Every (S, A, V) that passes ``validate`` for k, mapped to the indexes,
+    ascending, of the classes of ``_classes(k)`` in that stratum.
 
-    X_{S,A} is the memoized stratum.  ``membership`` decides Z before Y, and
-    Z does not depend on A, so Y_{S,A} is X_{S,A} less Z_S.  Z_S is X_{S,S}:
-    with A = S a Y member would need S inside G_1, which Z has already taken.
+    Each class lists its triples from its own (R_1, G_1, G_0), as
+    ``membership`` decides them.  A single-layer class is in the Z part for
+    every S inside G_0 and the active set, A inside S, V inside G_0 - S.  Any
+    other class is in the Y part only for S = R_1, with A inside G_1 and V
+    inside G_0, and in the Z part for every S inside G_1, A inside S and V
+    inside G_0.  W_1 is nonempty, so no triple is listed twice, and V misses
+    S by P3.  The keys are plain tuples, equal to the StratumId of the same
+    sets; the subsets are shared, one frozenset per distinct set.
     """
+    subs = lru_cache(maxsize=None)(_subsets)
+    active = frozenset(k.counter.active)
+    index = {}
+    for i, cls in enumerate(_classes(k)):
+        sigma = cls[0]
+        g0 = sigma.g(0)
+        if sigma.t == 0:
+            for s in subs(g0 & active):
+                for a in subs(s):
+                    for v in subs(g0 - s):
+                        index.setdefault((s, a, v), []).append(i)
+            continue
+        g1, r1 = sigma.g(1), sigma.r_set(1)
+        for a in subs(g1):
+            for v in subs(g0):
+                index.setdefault((r1, a, v), []).append(i)
+        for s in subs(g1):
+            for a in subs(s):
+                for v in subs(g0):
+                    index.setdefault((s, a, v), []).append(i)
+    return index
+
+
+@lru_cache(maxsize=1024)
+def stratum(k: Complex, sid: StratumId) -> frozenset:
+    """X_{S,A,V}: the members of the classes that the class index lists under sid."""
+    sid.validate(k.counter)
+    classes = _classes(k)
+    members = frozenset(s for i in _class_index(k).get(sid, ()) for s in classes[i])
+    if not all(f in members for s in members for f in k.facets[s]):
+        raise AssertionError(f"stratum {sid} is not boundary-closed")
+    return members
+
+
+def _class_masks(k: Complex):
+    """Subsets of the active set, and the X_{S,A}, Y_{S,A} and Z_S class masks (V = 0).
+
+    A mask has bit i set when class i of ``_classes(k)`` lies in the stratum.
+    ``membership`` decides Z before Y, and Z does not depend on A, so
+    Y_{S,A} is X_{S,A} less Z_S.  Z_S is X_{S,S}: with A = S a Y member
+    would need S inside G_1, which Z has already taken.
+    """
+    index = _class_index(k)
     subsets = _subsets(k.counter.active)
-    x = {(s, a): stratum(k, StratumId(s, a)) for s in subsets for a in _subsets(s)}
+    none = frozenset()
+    # the indexes under an id are distinct, so their bits add up to the mask
+    x = {(s, a): sum(1 << i for i in index.get((s, a, none), ())) for s in subsets for a in _subsets(s)}
     z = {s: x[(s, s)] for s in subsets}
-    y = {(s, a): xs - z[s] for (s, a), xs in x.items()}
+    y = {(s, a): xs & ~z[s] for (s, a), xs in x.items()}
     return subsets, x, y, z
 
 
@@ -253,21 +305,24 @@ def _implies_containment(s, a, tt, b) -> bool:
 
 
 def verify_incidence(r: RoundCounter) -> Report:
-    """Containment, pairwise and multiple intersections, and the Y/Z laws."""
+    """Containment, pairwise and multiple intersections, and the Y/Z laws,
+    on class masks: X <= X' is ``not X & ~X'``, and each law compares ints."""
     act = frozenset(r.active)
-    subsets, x, y, z = _slices(build(r))
+    none = frozenset()
+    subsets, x, y, z = _class_masks(build(r))
     name = {s: _fmt(s) for s in subsets}  # the params text of each subset
     records = []
 
-    def add(check, params, ok, ce=None):
-        records.append(CheckRecord(check, params, ok, None if ok else ce or params))
+    def add(check, params, ok):
+        records.append(CheckRecord(check, params, ok, None if ok else params))
 
     pairs = sorted(x, key=lambda sa: (sorted(sa[0]), sorted(sa[1])))
     for s, a in pairs:
+        xsa, ysa, zs, head = x[(s, a)], y[(s, a)], z[s], f"{name[s]} {name[a]}"
         for tt, b in pairs:
-            params = f"{name[s]} {name[a]} {name[tt]} {name[b]}"
-            contained = not _implies_containment(s, a, tt, b) or x[(s, a)] <= x[(tt, b)]
-            add("containment", params, contained)
+            params = f"{head} {name[tt]} {name[b]}"
+            xtb = x[(tt, b)]
+            add("containment", params, not _implies_containment(s, a, tt, b) or not xsa & ~xtb)
             if s == tt:
                 want = x[(s, a | b)]
             elif s < tt:
@@ -276,13 +331,13 @@ def verify_incidence(r: RoundCounter) -> Report:
                 want = x[(s, tt | a)]
             else:
                 want = z[s | tt]
-            add("intersection", params, x[(s, a)] & x[(tt, b)] == want)
+            add("intersection", params, xsa & xtb == want)
             add(
                 "yz-lemma",
                 params,
-                (z[s] & z[tt] == z[s | tt])
-                and (y[(s, a)] & z[tt] == y.get((s, a | tt), frozenset()))
-                and (y[(s, a)] & y[(tt, b)] == (y[(s, a | b)] if s == tt else frozenset())),
+                (zs & z[tt] == z[s | tt])
+                and (ysa & z[tt] == y.get((s, a | tt), 0))
+                and (ysa & y[(tt, b)] == (y[(s, a | b)] if s == tt else 0)),
             )
 
     # multiple intersections of X_{S_1}..X_{S_t}, t = 2, 3
@@ -291,7 +346,7 @@ def verify_incidence(r: RoundCounter) -> Report:
             for rest in combinations(subsets, count - 1):
                 if any(s1 <= si for si in rest):
                     continue
-                inter = x[(s1, frozenset())].intersection(*(x[(si, frozenset())] for si in rest))
+                inter = reduce(and_, (x[(si, none)] for si in rest), x[(s1, none)])
                 union_rest = frozenset().union(*rest)
                 if all(si < s1 for si in rest):
                     want = x[(s1, union_rest)]
@@ -303,7 +358,7 @@ def verify_incidence(r: RoundCounter) -> Report:
     for a in subsets:
         if a == act:
             continue
-        covered = frozenset().union(*(x[(s, a)] for s in subsets if a < s))
+        covered = reduce(or_, (x[(s, a)] for s in subsets if a < s), 0)
         add("union-xaa", name[a], x[(a, a)] == covered)
 
     return Report(tuple(records))
@@ -317,11 +372,11 @@ def containment_anomalies(r: RoundCounter) -> list:
     processes, Z_{act - q} sits inside X_{act, B}.  Returns (S, A, T, B)
     tuples, sorted.
     """
-    _, x, _, _ = _slices(build(r))
+    _, x, _, _ = _class_masks(build(r))
     out = []
     for s, a in x:
         for tt, b in x:
-            if not _implies_containment(s, a, tt, b) and x[(s, a)] <= x[(tt, b)]:
+            if not _implies_containment(s, a, tt, b) and not x[(s, a)] & ~x[(tt, b)]:
                 out.append((tuple(sorted(s)), tuple(sorted(a)), tuple(sorted(tt)), tuple(sorted(b))))
     return sorted(out)
 

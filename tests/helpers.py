@@ -21,7 +21,7 @@ from itertools import combinations, product
 
 from snapcomplex import RoundCounter, WitnessTable, from_trace, ghost, trace_form
 from snapcomplex.complexes import Complex, enumerate_top
-from snapcomplex.decomposition import IN_Y, IN_Z, OUT, rho_sa
+from snapcomplex.decomposition import IN_Y, IN_Z, OUT, StratumId, membership, rho_sa
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
 from snapcomplex.topology import CollapseBatch, CollapseStep
 
@@ -324,6 +324,22 @@ def z_slice_brute(k, first) -> frozenset:
         for s in k.simplices
         if (s.t == 0 and first <= s.g(0)) or (s.t >= 1 and first <= s.g(1))
     )
+
+
+def slices_oracle(k):
+    """Subsets of the active set, and the X_{S,A}, Y_{S,A} and Z_S tables
+    (V = 0) as frozensets of simplices: X by asking ``membership`` about
+    every simplex, Z_S as X_{S,S} and Y_{S,A} as X_{S,A} - Z_S."""
+    subsets = [frozenset(c) for c in sorted_subsets(k.counter.active)]
+    x = {
+        (s, a): frozenset(sigma for sigma in k.simplices if membership(sigma, StratumId(s, a)) != OUT)
+        for s in subsets
+        for a in subsets
+        if a <= s
+    }
+    z = {s: x[(s, s)] for s in subsets}
+    y = {(s, a): xs - z[s] for (s, a), xs in x.items()}
+    return subsets, x, y, z
 
 
 def gamma_oracle(sigma: WitnessTable, sid) -> WitnessTable:

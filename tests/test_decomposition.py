@@ -24,8 +24,9 @@ from snapcomplex import (
 )
 from snapcomplex import decomposition
 from snapcomplex.complexes import Complex, undelta_v
-from snapcomplex.decomposition import IN_Y, IN_Z, OUT, _slices
+from snapcomplex.decomposition import IN_Y, IN_Z, OUT, _class_index, _class_masks, _classes
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
+from tests.test_acceptance import CORPUS_STRATA
 from tests.helpers import (
     all_prestructures,
     counters_with,
@@ -33,6 +34,7 @@ from tests.helpers import (
     gamma_oracle,
     membership_brute,
     rho_oracle,
+    slices_oracle,
     undelta_v_oracle,
     y_slice_brute,
     z_slice_brute,
@@ -78,9 +80,12 @@ def test_membership_matches_oracle_on_every_prestructure():
 
 
 def test_stratum_id_checks_what_needs_no_counter_when_made():
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(InvalidArgument, match=r"^need ghosts <= first, got StratumId\(S=\[0\], A=\[0, 1\], V=\[\]\)$"):
         StratumId({0}, {0, 1})  # A not inside S
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(
+        InvalidArgument,
+        match=r"^round-0 set must avoid the first class, got StratumId\(S=\[0, 1\], A=\[\], V=\[1, 2\]\)$",
+    ):
         StratumId({0, 1}, (), {1, 2})  # V meets S
     sid = StratumId({1}, (), {2})
     sid.validate(RoundCounter.of(0, 1, 0))
@@ -88,6 +93,21 @@ def test_stratum_id_checks_what_needs_no_counter_when_made():
         sid.validate(RoundCounter.of(0, 0, 0))  # S not active
     with pytest.raises(InvalidArgument):
         sid.validate(RoundCounter.of(0, 1))  # V outside the support
+
+
+def test_stratum_id_is_an_immutable_tuple_with_its_fields_and_repr():
+    sid = StratumId([2, 0], {0}, (3,))
+    assert isinstance(sid, tuple) and StratumId._fields == ("first", "ghosts", "round0")
+    assert (sid.first, sid.ghosts, sid.round0) == (frozenset({0, 2}), frozenset({0}), frozenset({3}))
+    assert repr(sid) == "StratumId(S=[0, 2], A=[0], V=[3])"
+    assert sid == StratumId({0, 2}, [0], {3}) and hash(sid) == hash(StratumId({0, 2}, [0], {3}))
+    assert sid != StratumId({0, 2}, [0])
+    for field in ("first", "ghosts", "round0", "other"):
+        with pytest.raises(AttributeError):
+            setattr(sid, field, frozenset())
+    assert sid._replace(round0=[1]) == StratumId({0, 2}, {0}, {1})
+    with pytest.raises(InvalidArgument):
+        sid._replace(ghosts=[1])
 
 
 def test_stratum_examples():
@@ -165,18 +185,58 @@ def test_stratum_matches_per_simplex_oracle():
                     assert stratum(k, sid) == want, (values, sid)
 
 
+def _decode(k, mask):
+    """The simplices of the classes of k whose bits are set in mask."""
+    return frozenset(s for i, cls in enumerate(_classes(k)) if mask >> i & 1 for s in cls)
+
+
 def test_slices_match_oracle_slices():
+    # the class masks of the incidence laws, decoded, against simplex scans
     for values in ORACLE_COUNTERS:
         r = RoundCounter.of(*values)
         k = build(r)
-        subsets, x, y, z = _slices(k)
+        subsets, x, y, z = _class_masks(k)
         assert subsets == _subsets(r.active)
         assert set(x) == set(y) == {(s, a) for s in subsets for a in _subsets(s)}
         for s in subsets:
-            assert z[s] == z_slice_brute(k, s), (values, s)
+            assert _decode(k, z[s]) == z_slice_brute(k, s), (values, s)
             for a in _subsets(s):
-                assert y[(s, a)] == y_slice_brute(k, s, a), (values, s, a)
-                assert x[(s, a)] == y_slice_brute(k, s, a) | z_slice_brute(k, s), (values, s, a)
+                assert _decode(k, y[(s, a)]) == y_slice_brute(k, s, a), (values, s, a)
+                assert _decode(k, x[(s, a)]) == y_slice_brute(k, s, a) | z_slice_brute(k, s), (values, s, a)
+
+
+def test_class_index_matches_membership():
+    # every class against every valid (S, A, V), round-0 sets included: the
+    # index lists a class, once and in ascending order, exactly when
+    # membership puts it in the stratum, and lists no invalid id
+    for r in CORPUS_STRATA:
+        k = build(r)
+        classes, index = _classes(k), _class_index(k)
+        sids = [StratumId(s, a, v) for s in _subsets(r.active) for a in _subsets(s) for v in _subsets(r.support - s)]
+        assert set(index) <= set(sids), r
+        for sid in sids:
+            want = [i for i, cls in enumerate(classes) if membership(cls[0], sid) != OUT]
+            assert index.get(sid, []) == want, (r, sid)
+
+
+def test_class_masks_match_frozenset_oracle():
+    # the mask algebra decoded to simplices against the frozenset tables,
+    # and containment_anomalies against containment of those frozensets
+    for r in CORPUS_STRATA:
+        k = build(r)
+        subsets, x, y, z = _class_masks(k)
+        want_subsets, want_x, want_y, want_z = slices_oracle(k)
+        assert subsets == want_subsets, r
+        assert {sa: _decode(k, m) for sa, m in x.items()} == want_x, r
+        assert {sa: _decode(k, m) for sa, m in y.items()} == want_y, r
+        assert {s: _decode(k, m) for s, m in z.items()} == want_z, r
+        want = sorted(
+            (tuple(sorted(s)), tuple(sorted(a)), tuple(sorted(t)), tuple(sorted(b)))
+            for (s, a), xs in want_x.items()
+            for (t, b), xt in want_x.items()
+            if not ((s == t and b <= a) or t <= a) and xs <= xt
+        )
+        assert containment_anomalies(r) == want, r
 
 
 def _agree(new, old, *args):

@@ -325,14 +325,22 @@ def _precondition_message(op, *args):
     return None
 
 
-def test_ghost_one_rejects_exactly_what_ghost_rejects():
-    rejected = 0
+def test_ghost_one_rejects_exactly_non_witnesses_and_inactive_processes():
+    # an independent rule: sigma is a witness structure when every W part
+    # after layer 0 is nonempty, and only an active process can be ghosted
+    cases = rejected = 0
     for sigma in all_prestructures(universe=(0, 1, 2), max_t=3):
         for p in range(4):
-            message = _precondition_message(ghost_one, sigma, p)
-            assert message == _precondition_message(ghost, sigma, (p,)), (sigma, p)
-            rejected += message is not None
-    assert rejected > 0
+            if not all(w for w, _ in sigma.pairs[1:]):
+                want = "ghosting is only defined for witness structures"
+            elif p not in sigma.active_set:
+                want = f"cannot stabilize by [{p}]: not a subset of the active set"
+            else:
+                want = None
+            assert _precondition_message(ghost_one, sigma, p) == want, (sigma, p)
+            cases += 1
+            rejected += want is not None
+    assert (cases, rejected) == (23176, 19198)
 
 
 # sha256 of every result (pairs and class) or error (type and message) of the
