@@ -399,24 +399,21 @@ def _key_list(key: dict, simplices) -> str:
 
 
 def complex_to_dot(k: Complex) -> str:
-    """Dual graph in DOT form; tops touching the boundary are flagged."""
+    """Dual graph in DOT form; tops touching the boundary are flagged.  The
+    node ids are ``witness.keys``, which need no escaping, as in JSON."""
     adj = _dual_graph_adjacency(k)
     key = witness.keys(k.tops)
     lines = ["graph dual {"]
     for s in k.tops:
         on_boundary = any(f.g(0) for f in k.facets[s])
         attr = " [boundary=true]" if on_boundary else ""
-        lines.append(f'  "{_dot_escape(key[s])}"{attr};')
+        lines.append(f'  "{key[s]}"{attr};')
     seen = set()
     for s in k.tops:
         for nb in adj[s]:
             pair = tuple(sorted((key[s], key[nb])))
             if pair not in seen:
                 seen.add(pair)
-                lines.append(f'  "{_dot_escape(pair[0])}" -- "{_dot_escape(pair[1])}";')
+                lines.append(f'  "{pair[0]}" -- "{pair[1]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _dot_escape(text: str) -> str:
-    return text.replace('"', '\\"')

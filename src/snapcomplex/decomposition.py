@@ -19,12 +19,13 @@ Membership reads nothing but the layer-1 data (R_1, G_1, G_0), or G_0 alone
 for a single-layer simplex, so every stratum is a union of the classes of
 simplices sharing that data, and the classes are far fewer than the
 simplices.  Each built complex has one class index: every class lists the
-(S, A, V) it belongs to, read off its own data, and a stratum is the
-frozenset of the members of the classes listed under its id.  The incidence
-laws run on class masks, ints with one bit per class, which is exact since
-the classes are nonempty and partition the simplices.  ``membership`` stays
-the one statement of the rule: ``gamma`` and the laws call it, and the
-tests hold the index to it.
+(S, A) it belongs to, read off its own data.  V is no third dimension: a
+class has a single G_0, so V only filters classes, and X_{S,A,V} is the
+frozenset of the members of the classes listed under (S, A) whose G_0
+contains V.  The incidence laws run on class masks, ints with one bit per
+class, which is exact since the classes are nonempty and partition the
+simplices.  ``membership`` stays the one statement of the rule: ``gamma``
+and the laws call it, and the tests hold the index to it.
 """
 
 from __future__ import annotations
@@ -113,47 +114,44 @@ def _subsets(elems) -> list:
 
 @lru_cache(maxsize=8)
 def _class_index(k: Complex) -> dict:
-    """Every (S, A, V) that passes ``validate`` for k, mapped to the indexes,
-    ascending, of the classes of ``_classes(k)`` in that stratum.
+    """Every (S, A) with A <= S, mapped to the indexes, ascending, of the
+    classes of ``_classes(k)`` in X_{S,A}; V filters these by G_0.
 
-    Each class lists its triples from its own (R_1, G_1, G_0), as
-    ``membership`` decides them.  A single-layer class is in the Z part for
-    every S inside G_0 and the active set, A inside S, V inside G_0 - S.  Any
-    other class is in the Y part only for S = R_1, with A inside G_1 and V
-    inside G_0, and in the Z part for every S inside G_1, A inside S and V
-    inside G_0.  W_1 is nonempty, so no triple is listed twice, and V misses
-    S by P3.  The keys are plain tuples, equal to the StratumId of the same
-    sets; the subsets are shared, one frozenset per distinct set.
+    Each class lists its pairs from its own data, as ``membership`` decides
+    them.  A single-layer class is in the Z part for every S inside G_0 and
+    the active set, and A inside S.  Any other class is in the Y part only
+    for S = R_1 with A inside G_1, and in the Z part for every S inside G_1
+    and A inside S.  W_1 is nonempty, so no pair is listed twice.  The keys
+    are plain tuples of frozensets, one per distinct set.
     """
     subs = lru_cache(maxsize=None)(_subsets)
     active = frozenset(k.counter.active)
     index = {}
     for i, cls in enumerate(_classes(k)):
         sigma = cls[0]
-        g0 = sigma.g(0)
         if sigma.t == 0:
-            for s in subs(g0 & active):
-                for a in subs(s):
-                    for v in subs(g0 - s):
-                        index.setdefault((s, a, v), []).append(i)
-            continue
-        g1, r1 = sigma.g(1), sigma.r_set(1)
-        for a in subs(g1):
-            for v in subs(g0):
-                index.setdefault((r1, a, v), []).append(i)
-        for s in subs(g1):
+            firsts = subs(sigma.g(0) & active)
+        else:
+            firsts, r1 = subs(sigma.g(1)), sigma.r_set(1)
+            for a in firsts:
+                index.setdefault((r1, a), []).append(i)
+        for s in firsts:
             for a in subs(s):
-                for v in subs(g0):
-                    index.setdefault((s, a, v), []).append(i)
+                index.setdefault((s, a), []).append(i)
     return index
 
 
 @lru_cache(maxsize=1024)
 def stratum(k: Complex, sid: StratumId) -> frozenset:
-    """X_{S,A,V}: the members of the classes that the class index lists under sid."""
+    """X_{S,A,V}: the members of the classes listed under (S, A) whose G_0 contains V."""
     sid.validate(k.counter)
     classes = _classes(k)
-    members = frozenset(s for i in _class_index(k).get(sid, ()) for s in classes[i])
+    members = frozenset(
+        s
+        for i in _class_index(k).get((sid.first, sid.ghosts), ())
+        if sid.round0 <= classes[i][0].g(0)
+        for s in classes[i]
+    )
     if not all(f in members for s in members for f in k.facets[s]):
         raise AssertionError(f"stratum {sid} is not boundary-closed")
     return members
@@ -169,9 +167,8 @@ def _class_masks(k: Complex):
     """
     index = _class_index(k)
     subsets = _subsets(k.counter.active)
-    none = frozenset()
-    # the indexes under an id are distinct, so their bits add up to the mask
-    x = {(s, a): sum(1 << i for i in index.get((s, a, none), ())) for s in subsets for a in _subsets(s)}
+    # the indexes under a key are distinct, so their bits add up to the mask
+    x = {(s, a): sum(1 << i for i in index.get((s, a), ())) for s in subsets for a in _subsets(s)}
     z = {s: x[(s, s)] for s in subsets}
     y = {(s, a): xs & ~z[s] for (s, a), xs in x.items()}
     return subsets, x, y, z
@@ -483,27 +480,28 @@ def strata_partition(k: Complex) -> Report:
     Single-layer simplices are the faces of the passive-set simplex; every
     other simplex is interior to the stratum named by its own layer data
     (R_1, G_1, G_0), and to no other.  Interior-ness is decided through the
-    transport maps, independently of that formula; a member that the maps
-    reject fails, naming the first stratum that holds it.
+    transport maps, independently of that formula.  V only filters X_{S,A},
+    so each member sigma of X_{S,A} is peeled once: it is interior to
+    X_{S,A,V} exactly for V = G_0(gamma(sigma)), when that set avoids S and
+    lies in G_0(sigma).  A member that gamma rejects fails, naming the first
+    stratum that holds it, X_{S,A} with V empty.
     """
     r = k.counter
     passive = frozenset(r.passive)
-    # nonempty first classes, each with its proper subsets as forced ghosts
-    sids = [
-        StratumId(s, a, v)
-        for s in _subsets(r.active)[1:]
-        for a in _subsets(s)[:-1]
-        for v in _subsets(r.support - s)
-    ]
-    interiors_of = {sigma: [] for sigma in k.simplices}  # filled in sid order
+    interiors_of = {sigma: [] for sigma in k.simplices}  # filled in (S, A) order
     rejected = {}  # member -> the first stratum whose maps reject it
-    for sid in sids:
-        for sigma in stratum(k, sid):
-            try:
-                if not delta_v(gamma(sigma, sid), sid.round0).g(0):
-                    interiors_of[sigma].append((sid.first, sid.ghosts, sid.round0))
-            except (InvalidArgument, PreconditionViolation):
-                rejected.setdefault(sigma, sid)
+    # nonempty first classes, each with its proper subsets as forced ghosts
+    for s in _subsets(r.active)[1:]:
+        for a in _subsets(s)[:-1]:
+            sid = StratumId(s, a)
+            for sigma in stratum(k, sid):
+                try:
+                    v = gamma(sigma, sid).g(0)
+                except (InvalidArgument, PreconditionViolation):
+                    rejected.setdefault(sigma, sid)
+                    continue
+                if not v & s and v <= sigma.g(0):
+                    interiors_of[sigma].append((s, a, v))
     records = []
     for sigma, interiors in interiors_of.items():
         if sigma in rejected:

@@ -110,7 +110,8 @@ def test_report_checks_show_their_first_failed_record(capsys, monkeypatch):
 
 def test_a_stratum_member_the_maps_reject_fails_its_checks(capsys, monkeypatch):
     # X_{{0,1},{0}} of 1,1,1 rigged to hold a top that gamma rejects: each
-    # verifier replaying a law on it reports a failure instead of raising
+    # verifier replaying a law on it reports a failure instead of raising.
+    # verify_incidence reads the class masks, not stratum, so it stays ok
     from snapcomplex import complexes
 
     r = RoundCounter.of(1, 1, 1)
@@ -123,6 +124,7 @@ def test_a_stratum_member_the_maps_reject_fails_its_checks(capsys, monkeypatch):
     assert (code, err) == (1, "")
     lines = out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["incidence", "diagrams", "partition"]
+    assert lines[0] == "incidence: ok (1,1,1)"
     assert lines[1].startswith("diagrams: FAIL") and lines[2].startswith("partition: FAIL")
     assert not decomposition.verify_stratum_iso(r, sid)
 

@@ -206,17 +206,27 @@ def test_slices_match_oracle_slices():
 
 
 def test_class_index_matches_membership():
-    # every class against every valid (S, A, V), round-0 sets included: the
-    # index lists a class, once and in ascending order, exactly when
-    # membership puts it in the stratum, and lists no invalid id
+    # the index is keyed by the valid (S, A) pairs, and V filters classes by
+    # G_0: for every valid (S, A, V), round-0 sets included, the classes
+    # under (S, A) whose G_0 contains V are, once and in ascending order,
+    # exactly those that membership puts in the stratum
     for r in CORPUS_STRATA:
         k = build(r)
         classes, index = _classes(k), _class_index(k)
-        sids = [StratumId(s, a, v) for s in _subsets(r.active) for a in _subsets(s) for v in _subsets(r.support - s)]
-        assert set(index) <= set(sids), r
-        for sid in sids:
-            want = [i for i, cls in enumerate(classes) if membership(cls[0], sid) != OUT]
-            assert index.get(sid, []) == want, (r, sid)
+        pairs = [(s, a) for s in _subsets(r.active) for a in _subsets(s)]
+        assert set(index) <= set(pairs), r
+        for s, a in pairs:
+            for v in _subsets(r.support - s):
+                sid = StratumId(s, a, v)
+                got = [i for i in index.get((s, a), []) if v <= classes[i][0].g(0)]
+                want = [i for i, cls in enumerate(classes) if membership(cls[0], sid) != OUT]
+                assert got == want, (r, sid)
+
+
+def test_class_index_size_on_four_processes():
+    # one key per (S, A) with A <= S <= {0,1,2,3}, 3^4 of them
+    index = _class_index(build(RoundCounter.of(1, 1, 1, 1)))
+    assert (len(index), sum(map(len, index.values()))) == (81, 1121)
 
 
 def test_class_masks_match_frozenset_oracle():
@@ -546,6 +556,30 @@ def test_verifier_records_pinned():
     for (counter, name), want in RECORDS_SHA256.items():
         records = verifiers[name](RoundCounter.parse(counter)).records
         assert (len(records), hashlib.sha256(repr(records).encode()).hexdigest()) == want, (counter, name)
+
+
+def test_strata_partition_reads_interiors_within_stratum_membership(monkeypatch):
+    # a gamma that adds a round-0 ghost no member has: the round-0 set read
+    # off the image lies in no member's G_0, so no stratum holding a member
+    # has that member in its interior
+    real_gamma = decomposition.gamma
+    monkeypatch.setattr(decomposition, "gamma", lambda sigma, sid: undelta_v(real_gamma(sigma, sid), {9}))
+    k = build(RoundCounter.of(1, 1, 1))
+    bad = _failures(strata_partition(k))
+    assert [key for _, key, _ in bad] == [s.key for s in k.simplices if s.t >= 1]
+    assert {ce for _, _, ce in bad} == {"interiors=[]"}
+
+
+def test_strata_partition_peels_each_member_of_x_sa_once(monkeypatch):
+    # V only filters X_{S,A}, so each member is peeled once per (S, A) and
+    # its round-0 set is read off the image: 1 072 peels where walking every
+    # (S, A, V) made 1 664, and no delta_v
+    real_gamma, real_delta_v = decomposition.gamma, decomposition.delta_v
+    calls = []
+    monkeypatch.setattr(decomposition, "gamma", lambda sigma, sid: calls.append("gamma") or real_gamma(sigma, sid))
+    monkeypatch.setattr(decomposition, "delta_v", lambda sigma, v: calls.append("delta_v") or real_delta_v(sigma, v))
+    assert strata_partition(build(RoundCounter.of(1, 1, 1, 1))).ok
+    assert (calls.count("gamma"), calls.count("delta_v")) == (1072, 0)
 
 
 def test_verify_diagrams_peels_each_member_once(monkeypatch):
