@@ -48,19 +48,19 @@ def enumerate_top(r: RoundCounter) -> list:
 
 
 class Complex:
-    """The face lattice of a snapshot complex, keyed by canonical encoding."""
+    """The face lattice of a snapshot complex, keyed by canonical encoding.
 
-    def __init__(self, counter, simplices, tops, facets, cofacets):
+    ``levels`` holds one tuple per dimension, from -1 up to ``dim``, each
+    sorted by pairs, as ``build`` walks them; ``by_dim``, ``simplices`` (in
+    (dim, pairs) order) and ``tops`` are read off them."""
+
+    def __init__(self, counter, levels, facets, cofacets):
         self.counter = counter
-        self.simplices = simplices  # tuple sorted by (dim, pairs)
-        self.tops = tops
+        self.by_dim = dict(enumerate(levels, -1))
+        self.simplices = tuple(s for level in levels for s in level)
+        self.tops = levels[-1]
         self.facets = facets  # simplex -> sorted tuple of codim-1 faces
         self.cofacets = cofacets  # simplex -> sorted tuple of codim-1 cofaces
-        self.by_dim = {}
-        for s in simplices:
-            self.by_dim.setdefault(s.dim, []).append(s)
-        for d in self.by_dim:
-            self.by_dim[d] = tuple(self.by_dim[d])
 
     @property
     def dim(self) -> int:
@@ -74,7 +74,7 @@ class Complex:
 
     @property
     def f_vector(self) -> tuple:
-        return tuple(len(self.by_dim.get(d, ())) for d in range(-1, self.dim + 1))
+        return tuple(map(len, self.by_dim.values()))
 
     @property
     def euler(self) -> int:
@@ -95,11 +95,10 @@ def build(r: RoundCounter) -> Complex:
     """
     ghost_one = witness.ghost_one  # the module attribute, which the tracer wraps
     by_pairs = attrgetter("pairs")
-    level = sorted(enumerate_top(r), key=by_pairs)
-    tops = tuple(level)
+    level = tuple(sorted(enumerate_top(r), key=by_pairs))
     levels = []
     facets = {}
-    cofacets = {s: [] for s in tops}
+    cofacets = {s: [] for s in level}
     while level:
         levels.append(level)
         seen = {}  # each face of this level -> its one canonical object
@@ -113,11 +112,10 @@ def build(r: RoundCounter) -> Complex:
                     cofacets[face].append(sigma)
                     faces[i] = face
             facets[sigma] = tuple(faces)
-        level = sorted(seen, key=by_pairs)
+        level = tuple(sorted(seen, key=by_pairs))
     for s, cof in cofacets.items():
         cofacets[s] = tuple(cof)
-    simplices = tuple(s for done in reversed(levels) for s in done)
-    return Complex(r, simplices, tops, facets, cofacets)
+    return Complex(r, levels[::-1], facets, cofacets)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +184,9 @@ def _vertex_sets(k: Complex) -> dict:
     """Each simplex's vertex set, read bottom-up off the lattice: a vertex
     spans itself, any other simplex the union of its facets' vertex sets."""
     verts = {}
-    for s in k.simplices:  # sorted by dimension, so facets come first
-        verts[s] = frozenset((s,)) if s.dim == 0 else frozenset().union(*(verts[f] for f in k.facets[s]))
+    for d, level in k.by_dim.items():  # dimension -1 up, so facets come first
+        for s in level:
+            verts[s] = frozenset((s,)) if d == 0 else frozenset().union(*(verts[f] for f in k.facets[s]))
     return verts
 
 
@@ -195,8 +194,8 @@ def structural_checks(k: Complex) -> StructureReport:
     n = k.dim
     failures = {}  # field -> its first counterexample
 
-    for s in k.simplices:
-        if s.dim < n and not k.cofacets[s]:
+    for s in k.simplices[: len(k.simplices) - len(k.tops)]:  # below the top level
+        if not k.cofacets[s]:
             failures.setdefault("pure", f"pure: {s.key}")
 
     for s in k.by_dim.get(n - 1, ()):
@@ -382,12 +381,11 @@ def complex_to_json(k: Complex) -> str:
     "tops"}, written as text.  Keys from ``witness.keys`` hold only digits,
     brackets and commas, so they need no escaping."""
     key = witness.keys(k.simplices)
-    counter = {str(p): v for p, v in k.counter}  # sort_keys puts "10" before "2"
-    head = json.dumps({"counter": counter, "f_vector": list(k.f_vector)}, sort_keys=True, separators=(",", ":"))
+    head = json.dumps({**k.counter.to_json_obj(), "f_vector": list(k.f_vector)}, sort_keys=True, separators=(",", ":"))
     parts = [head[:-1], ',"simplices":[']
     sep = ""
-    for d in range(-1, k.dim + 1):  # the order of k.simplices
-        for s in k.by_dim.get(d, ()):
+    for d, level in k.by_dim.items():  # the order of k.simplices
+        for s in level:
             parts.append(f'{sep}{{"dim":{d},"facets":{_key_list(key, k.facets[s])},"key":"{key[s]}"}}')
             sep = ","
     parts.append(f'],"tops":{_key_list(key, k.tops)}}}')

@@ -427,11 +427,7 @@ def verify_diagrams(r: RoundCounter) -> Report:
 
             def law(sigma):
                 step = peel(sigma, peel_a)
-                return (
-                    membership(step, peel_s) != OUT
-                    and step in rest
-                    and peel(step, peel_s) == peel(sigma, peel_sa)
-                )
+                return step in rest and peel(step, peel_s) == peel(sigma, peel_sa)
 
             replay("diagram-strata", (s, a), peel_sa, law)
 
@@ -457,12 +453,7 @@ def verify_diagrams(r: RoundCounter) -> Report:
 
                 def law(sigma):
                     phi, psi = peel(sigma, sid), delta_v(sigma, v)
-                    return (
-                        v <= phi.g(0)
-                        and membership(psi, sid) != OUT
-                        and psi in dropped
-                        and delta_v(phi, v) == peel(psi, sid)
-                    )
+                    return v <= phi.g(0) and psi in dropped and delta_v(phi, v) == peel(psi, sid)
 
                 replay("diagram-boundary", (s, a, v), StratumId(s, a, v), law)
 

@@ -233,13 +233,19 @@ def build_oracle(r: RoundCounter) -> Complex:
                 queue.append(tau)
             faces.append(face)
         facets[sigma] = tuple(faces)
-    simplices = tuple(sorted(seen, key=lambda s: (s.dim, s.pairs)))
+    simplices = sorted(seen, key=lambda s: (s.dim, s.pairs))
     cofacets = {s: [] for s in simplices}
     for sigma in simplices:
         for tau in facets[sigma]:
             cofacets[tau].append(sigma)
     cofacets = {s: tuple(sorted(cof, key=lambda x: x.pairs)) for s, cof in cofacets.items()}
-    return Complex(r, simplices, tuple(tops), facets, cofacets)
+    levels = tuple(tuple(s for s in simplices if s.dim == d) for d in range(-1, len(r.support)))
+    return Complex(r, levels, facets, cofacets)
+
+
+def levels_with(k, extra) -> tuple:
+    """The levels of k, dimension -1 up, with ``extra`` put at the end of its level."""
+    return tuple(level + (extra,) if d == extra.dim else level for d, level in k.by_dim.items())
 
 
 def complex_json_oracle(k) -> str:

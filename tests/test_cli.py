@@ -11,7 +11,7 @@ from snapcomplex import RoundCounter, chromatic_check, cli, decomposition
 from snapcomplex.cli import main
 from snapcomplex.errors import PreconditionViolation
 from snapcomplex.reports import CheckRecord, Report
-from tests.helpers import counters_with, vertices
+from tests.helpers import counters_with, levels_with, vertices
 
 
 def run(capsys, *argv):
@@ -237,7 +237,7 @@ def test_each_structural_check_shows_its_own_counterexample(capsys, monkeypatch)
 
     k = complexes.build(RoundCounter.of(1, 1))
     twin = k.tops[0]
-    rigged = complexes.Complex(k.counter, k.simplices + (twin,), k.tops, k.facets, k.cofacets)
+    rigged = complexes.Complex(k.counter, levels_with(k, twin), k.facets, k.cofacets)
     monkeypatch.setattr(complexes, "build", lambda r: rigged)
     monkeypatch.setattr(complexes, "_dual_graph_connected", lambda _: False)
     code, out, _ = run(capsys, "verify", "--counter", "1,1", "--checks", "connected,reconstruction,pure")

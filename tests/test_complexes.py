@@ -33,6 +33,7 @@ from tests.helpers import (
     counters_with,
     enumerate_top_brute,
     has_face,
+    levels_with,
     m_count_brute,
     vertices,
 )
@@ -277,7 +278,7 @@ def test_structural_checks_catch_a_ridge_with_three_cofaces():
     third = next(t for t in k.tops if t not in k.cofacets[ridge])
     cofacets = dict(k.cofacets)
     cofacets[ridge] += (third,)
-    rep = structural_checks(Complex(k.counter, k.simplices, k.tops, k.facets, cofacets))
+    rep = structural_checks(Complex(k.counter, tuple(k.by_dim.values()), k.facets, cofacets))
     assert _fields(rep) == (True, False, True, True, True)
     assert rep.counterexample == f"pseudomanifold: {ridge.key} has 3 cofaces"
     assert not rep.ok
@@ -287,7 +288,7 @@ def test_structural_checks_catch_two_simplices_with_one_vertex_set():
     # a face listed twice, as a build without face dedup would list it
     k = build(RoundCounter.of(1, 1, 1))
     twin = k.by_dim[1][0]
-    rep = structural_checks(Complex(k.counter, k.simplices + (twin,), k.tops, k.facets, k.cofacets))
+    rep = structural_checks(Complex(k.counter, levels_with(k, twin), k.facets, k.cofacets))
     assert _fields(rep) == (True, True, True, True, False)
     assert rep.counterexample == f"reconstruction: {twin.key} vs {twin.key}"
 
@@ -314,7 +315,7 @@ def test_cone_check_catches_a_base_simplex_no_image_reaches(monkeypatch):
     real = complexes.build
     base = real(base_r)
     extra = WitnessTable([((0, 1), ())])  # one layer: no simplex of base_r
-    padded = Complex(base_r, base.simplices + (extra,), base.tops, {**base.facets, extra: ()}, {**base.cofacets, extra: ()})
+    padded = Complex(base_r, levels_with(base, extra), {**base.facets, extra: ()}, {**base.cofacets, extra: ()})
 
     assert cone_check(r, 2)
     monkeypatch.setattr(complexes, "build", lambda c: padded if c == base_r else real(c))
@@ -326,7 +327,7 @@ def _rig_facets(monkeypatch, r, facets):
     """Let build(r) return the lattice of r with some facet lists replaced."""
     real = complexes.build
     k = real(r)
-    rigged = Complex(r, k.simplices, k.tops, {**k.facets, **facets}, k.cofacets)
+    rigged = Complex(r, tuple(k.by_dim.values()), {**k.facets, **facets}, k.cofacets)
     monkeypatch.setattr(complexes, "build", lambda c: rigged if c == r else real(c))
 
 
@@ -372,6 +373,17 @@ def test_checks_after_build_never_ghost(monkeypatch):
             assert structural_checks(k).ok, r
             for p in sorted(r.passive):
                 assert cone_check(r, p), (r, p)
+
+
+def test_build_and_structural_checks_read_no_dim(monkeypatch):
+    # build hands its levels to Complex, so no one reads a simplex's
+    # dimension off its table; build's cache is bypassed so that it runs
+    real = WitnessTable.dim
+    reads = []
+    monkeypatch.setattr(WitnessTable, "dim", property(lambda s: reads.append(s) or real.fget(s)))
+    for r in CORPUS_STRUCT:
+        assert structural_checks(complexes.build.__wrapped__(r)).ok, r
+    assert len(reads) == 0
 
 
 def test_cone_check_join_images_equal_validated_tables(monkeypatch):

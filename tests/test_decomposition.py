@@ -32,6 +32,7 @@ from tests.helpers import (
     counters_with,
     delta_v_oracle,
     gamma_oracle,
+    levels_with,
     membership_brute,
     rho_oracle,
     slices_oracle,
@@ -345,7 +346,7 @@ def test_verify_stratum_iso_catches_rigged_maps(monkeypatch):
         # a target simplex that no member reaches, with every face map intact
         base = real_build(target_r)
         extra = WitnessTable([((0, 2), ())])  # one layer: no simplex of the target
-        padded = Complex(target_r, base.simplices + (extra,), base.tops, {**base.facets, extra: ()}, base.cofacets)
+        padded = Complex(target_r, levels_with(base, extra), {**base.facets, extra: ()}, base.cofacets)
         m.setattr(decomposition, "build", lambda c: padded if c == target_r else real_build(c))
         assert not verify_stratum_iso(r, sid)
 
@@ -590,3 +591,16 @@ def test_verify_diagrams_peels_each_member_once(monkeypatch):
     monkeypatch.setattr(decomposition, "gamma", lambda sigma, sid: calls.append((sigma, sid)) or real_gamma(sigma, sid))
     assert verify_diagrams(RoundCounter.of(1, 1, 1, 1)).ok
     assert len(calls) == len(set(calls)) == 2495
+
+
+def test_verify_diagrams_decides_membership_only_in_gamma(monkeypatch):
+    # gamma's guard is the laws' one membership test: a non-member it
+    # rejects counts as a broken law, so no law restates the guard
+    real_gamma, real_membership = decomposition.gamma, decomposition.membership
+    calls = []
+    monkeypatch.setattr(decomposition, "gamma", lambda sigma, sid: calls.append("gamma") or real_gamma(sigma, sid))
+    monkeypatch.setattr(
+        decomposition, "membership", lambda sigma, sid: calls.append("membership") or real_membership(sigma, sid)
+    )
+    assert verify_diagrams(RoundCounter.of(1, 1, 1, 1)).ok
+    assert calls.count("membership") == calls.count("gamma") > 0
