@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from functools import cache
 
 from .errors import CollapseStuck, InvalidArgument, PreconditionViolation
@@ -146,13 +147,19 @@ def cmd_verify(r: RoundCounter, args) -> int:
     return 0 if all(rec.ok for rec in records) else 1
 
 
+def _write_json(k, fh) -> None:
+    """Write the complex's JSON and a newline, piece by piece."""
+    fh.writelines(complexes.complex_json_pieces(k))
+    fh.write("\n")
+
+
 def cmd_build(r: RoundCounter, args) -> int:
     k = complexes.build(r)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(complexes.complex_to_json(k) + "\n")
+            _write_json(k, fh)
     elif args.format == "json":
-        print(complexes.complex_to_json(k))
+        _write_json(k, sys.stdout)
         return 0
     print(f"counter={r.text()}")
     print("f_vector=" + ",".join(str(n) for n in k.f_vector))
@@ -196,12 +203,11 @@ def cmd_collapse(r: RoundCounter, args) -> int:
 
 def cmd_export(r: RoundCounter, args) -> int:
     k = complexes.build(r)
-    payload = complexes.complex_to_dot(k) if args.format == "dot" else complexes.complex_to_json(k) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        if args.format == "dot":
+            fh.write(complexes.complex_to_dot(k))
+        else:
+            _write_json(k, fh)
     return 0
 
 

@@ -89,9 +89,10 @@ def build(r: RoundCounter) -> Complex:
     The tops, sorted by pairs, are level n.  Each face of a level-d simplex
     lies in level d-1, so a level's new faces, sorted by pairs, are the next
     level, and the levels joined from dimension -1 up are the simplices in
-    (dim, pairs) order.  Each face is deduped within its level, and the
-    simplex it came from is appended to its cofacet list in the same pass:
-    a level is walked in pairs order, so every cofacet list comes out sorted.
+    (dim, pairs) order.  Tables are interned, so each face is the one object
+    of its pairs, and a face is new exactly when it has no cofacet list yet;
+    the simplex it came from is appended to that list in the same pass: a
+    level is walked in pairs order, so every cofacet list comes out sorted.
     """
     ghost_one = witness.ghost_one  # the module attribute, which the tracer wraps
     by_pairs = attrgetter("pairs")
@@ -101,18 +102,18 @@ def build(r: RoundCounter) -> Complex:
     cofacets = {s: [] for s in level}
     while level:
         levels.append(level)
-        seen = {}  # each face of this level -> its one canonical object
+        new = []  # the faces of this level met for the first time
         for sigma in level:
             faces = sorted([ghost_one(sigma, p) for p in sigma.active_set], key=by_pairs)
-            for i, tau in enumerate(faces):
-                face = seen.setdefault(tau, tau)
-                if face is tau:
+            for tau in faces:
+                cof = cofacets.get(tau)
+                if cof is None:
                     cofacets[tau] = [sigma]
+                    new.append(tau)
                 else:
-                    cofacets[face].append(sigma)
-                    faces[i] = face
+                    cof.append(sigma)
             facets[sigma] = tuple(faces)
-        level = tuple(sorted(seen, key=by_pairs))
+        level = tuple(sorted(new, key=by_pairs))
     for s, cof in cofacets.items():
         cofacets[s] = tuple(cof)
     return Complex(r, levels[::-1], facets, cofacets)
@@ -375,21 +376,26 @@ def chromatic_check(r: RoundCounter) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def complex_to_json(k: Complex) -> str:
-    """The bytes of ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
-    on {"counter", "f_vector", "simplices": [{"dim", "facets", "key"}, ...],
-    "tops"}, written as text.  Keys from ``witness.keys`` hold only digits,
-    brackets and commas, so they need no escaping."""
+def complex_json_pieces(k: Complex):
+    """The JSON of k in pieces, one per simplex, which the CLI writes as
+    they come: the bytes of ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"))`` on {"counter", "f_vector", "simplices":
+    [{"dim", "facets", "key"}, ...], "tops"}.  Keys from ``witness.keys``
+    hold only digits, brackets and commas, so they need no escaping."""
     key = witness.keys(k.simplices)
     head = json.dumps({**k.counter.to_json_obj(), "f_vector": list(k.f_vector)}, sort_keys=True, separators=(",", ":"))
-    parts = [head[:-1], ',"simplices":[']
+    yield head[:-1] + ',"simplices":['
     sep = ""
     for d, level in k.by_dim.items():  # the order of k.simplices
         for s in level:
-            parts.append(f'{sep}{{"dim":{d},"facets":{_key_list(key, k.facets[s])},"key":"{key[s]}"}}')
+            yield f'{sep}{{"dim":{d},"facets":{_key_list(key, k.facets[s])},"key":"{key[s]}"}}'
             sep = ","
-    parts.append(f'],"tops":{_key_list(key, k.tops)}}}')
-    return "".join(parts)
+    yield f'],"tops":{_key_list(key, k.tops)}}}'
+
+
+def complex_to_json(k: Complex) -> str:
+    """The JSON of k as one string: its ``complex_json_pieces`` joined."""
+    return "".join(complex_json_pieces(k))
 
 
 def _key_list(key: dict, simplices) -> str:

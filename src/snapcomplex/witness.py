@@ -29,7 +29,10 @@ the join images of ``complexes.cone_check``.  Every other table, including
 any built from outside input, is validated.  ``keys`` makes the JSON keys of
 many tables at once, printing each distinct layer once.
 
-Everything here is an immutable value; operations return new objects.
+Tables are hash-consed: each ``pairs`` encoding has one ``WitnessTable``
+object for the life of the process, so a face reached from many cofaces, or
+a stratum image, is the lattice's own object.  Equality and hashing are
+object identity.  Everything here is immutable.
 """
 
 from __future__ import annotations
@@ -113,46 +116,53 @@ def _layer_text(pair) -> str:
     return "[[" + ",".join(map(str, w)) + "],[" + ",".join(map(str, g)) + "]]"
 
 
+# pairs -> its one table, kept for the life of the process
+_TABLES = {}
+
+
 class WitnessTable:
     """A validated witness prestructure in table form.
 
     A table holds only its pairs and its class.  ``pairs`` is the canonical
-    encoding: a tuple of (sorted W tuple, sorted G tuple) pairs.  Equality,
-    hashing, and the JSON key all use it, so equal encodings are the same
-    simplex.  Support, ghost and active sets, dimension, traces and key are
-    read off the layers on demand; nothing is cached on the instance.
+    encoding: a tuple of (sorted W tuple, sorted G tuple) pairs.  Tables are
+    interned by it, so equal encodings are the same object, and equality and
+    hashing are identity.  Support, ghost and active sets, dimension, traces
+    and key are read off the layers on demand; nothing is cached on the
+    instance.
     """
 
     __slots__ = ("pairs", "classification")
 
-    def __init__(self, pairs):
+    def __new__(cls, pairs):
         pairs = _normalize_pairs(pairs)
-        cls = _classify_normalized(pairs)
-        if not cls:
-            raise InvalidArgument(f"not a witness prestructure: {cls.violated}")
-        self.pairs = pairs
-        self.classification = cls.kind
+        c = _classify_normalized(pairs)
+        if not c:
+            raise InvalidArgument(f"not a witness prestructure: {c.violated}")
+        return cls._trusted(pairs, c.kind)
 
     @classmethod
     def _trusted(cls, pairs: tuple, kind: str) -> "WitnessTable":
-        """Skip validation for pairs that are normalized, valid and of class
-        ``kind`` by construction.  Only the three operators here
+        """The one table of pairs that are normalized, valid and of class
+        ``kind`` by construction, made and stored on first use.  Only the
+        validating constructor, the three operators here
         (``canonical_form``, ``stabilize`` and ``ghost``, which wrap the
         layers of ``_merge_empty`` and ``_stabilized``),
         ``complexes.enumerate_top``, the stratum transport maps
         (``decomposition.gamma``/``rho``, ``complexes.delta_v``/``undelta_v``)
         and the join images of ``complexes.cone_check`` use it; every other
         input goes through the validating constructor."""
-        self = cls.__new__(cls)
-        self.pairs = pairs
-        self.classification = kind
+        self = _TABLES.get(pairs)
+        if self is None:
+            self = object.__new__(cls)
+            self.pairs = pairs
+            self.classification = kind
+            # setdefault is atomic, so threads that race on new pairs share one table
+            self = _TABLES.setdefault(pairs, self)
         return self
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WitnessTable) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which returns the one table
+        return WitnessTable, (self.pairs,)
 
     def __repr__(self) -> str:
         return f"WitnessTable({self.key})"

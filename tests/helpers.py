@@ -218,20 +218,20 @@ def has_face(sigma: WitnessTable, tau: WitnessTable) -> bool:
 
 def build_oracle(r: RoundCounter) -> Complex:
     """Depth-first closure of the executions under ``ghost(sigma, (p,))``,
-    each face deduped through one dict, sorted once by (dim, pairs), and
-    the cofacets inverted from the facets afterwards."""
+    each face queued once through one seen set (tables are interned, so a
+    face is its one object), sorted once by (dim, pairs), and the cofacets
+    inverted from the facets afterwards."""
     tops = sorted(enumerate_top(r), key=lambda s: s.pairs)
     facets = {}
     queue = list(tops)
-    seen = {s: s for s in tops}  # each simplex -> its one canonical object
+    seen = set(tops)
     while queue:
         sigma = queue.pop()
-        faces = []
-        for tau in sorted((ghost(sigma, (p,)) for p in sigma.active_set), key=lambda s: s.pairs):
-            face = seen.setdefault(tau, tau)
-            if face is tau:
+        faces = sorted((ghost(sigma, (p,)) for p in sigma.active_set), key=lambda s: s.pairs)
+        for tau in faces:
+            if tau not in seen:
+                seen.add(tau)
                 queue.append(tau)
-            faces.append(face)
         facets[sigma] = tuple(faces)
     simplices = sorted(seen, key=lambda s: (s.dim, s.pairs))
     cofacets = {s: [] for s in simplices}

@@ -146,6 +146,19 @@ def test_build_json_and_out_file(tmp_path, capsys):
     assert json.loads(out)["f_vector"] == [1, 4, 3]
 
 
+def test_json_writes_are_complex_to_json(tmp_path, capsys):
+    # build and export write the JSON piece by piece, to stdout and to --out
+    from snapcomplex import build, complex_to_json
+
+    want = complex_to_json(build(RoundCounter.of(2, 1, 1))) + "\n"
+    out_file = tmp_path / "complex.json"
+    for command in ("build", "export"):
+        code, out, _ = run(capsys, command, "--counter", "2,1,1", "--format", "json")
+        assert (code, out) == (0, want), command
+        code, out, _ = run(capsys, command, "--counter", "2,1,1", "--out", str(out_file))
+        assert code == 0 and out_file.read_text(encoding="utf-8") == want, command
+
+
 def test_bad_counter_is_usage_error(capsys):
     code, _, err = run(capsys, "count", "--counter", "1,y,2")
     assert code == 2

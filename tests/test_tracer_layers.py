@@ -55,19 +55,26 @@ def test_build_calls_the_kernel_through_its_module_attribute(monkeypatch):
     assert len(calls) == sum(len(k.facets[s]) for s in k.simplices) > 0
 
 
-def test_cli_exports_through_the_module_attribute(monkeypatch):
-    # the tracer times complexes.complex_to_json and sizes its result by
-    # wrapping that attribute; a CLI that bypassed it would zero
-    # complexes.complex_to_json_s and complexes.json_bytes
-    real = complexes.complex_to_json
+def test_cli_writes_json_through_the_module_attribute(monkeypatch, tmp_path):
+    # the CLI writes the complex JSON piece by piece from
+    # complexes.complex_json_pieces, looked up on the module when it runs, so
+    # a wrapper of that attribute sees every JSON export; complex_to_json is
+    # the same pieces joined, for the tests and oracles
+    real = complexes.complex_json_pieces
     calls = []
 
     def counting(k):
         calls.append(k.counter)
         return real(k)
 
-    monkeypatch.setattr(complexes, "complex_to_json", counting)
-    for argv in (["build", "--counter", "2,1", "--format", "json"], ["export", "--counter", "2,1"]):
+    monkeypatch.setattr(complexes, "complex_json_pieces", counting)
+    out = str(tmp_path / "k.json")
+    for argv in (
+        ["build", "--counter", "2,1", "--format", "json"],
+        ["build", "--counter", "2,1", "--out", out],
+        ["export", "--counter", "2,1"],
+        ["export", "--counter", "2,1", "--out", out],
+    ):
         calls.clear()
         assert cli.main(argv) == 0
         assert calls == [RoundCounter.of(2, 1)], argv

@@ -1,5 +1,7 @@
 import ast
+import copy
 import hashlib
+import pickle
 from itertools import combinations
 from pathlib import Path
 
@@ -21,13 +23,15 @@ from snapcomplex import (
     to_trace,
     trace_form,
 )
+from snapcomplex import build, cli, witness
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
-from snapcomplex.witness import _normalize_pairs
+from snapcomplex.witness import _classify_normalized, _normalize_pairs
 from tests.helpers import (
     all_prestructures,
     all_witness_structures,
     canonical_oracle,
     canonical_via_kept_layers,
+    counters_with,
     derived_oracle,
     ghost_oracle,
     stabilize_via_table,
@@ -136,6 +140,65 @@ def test_table_holds_only_pairs_and_class():
         sigma.cache = sigma.key
 
 
+def test_equal_pairs_are_one_table():
+    sigma = WitnessTable(GHOST_IN)
+    assert WitnessTable(GHOST_IN) is sigma
+    assert WitnessTable([(set(w), set(g)) for w, g in GHOST_IN]) is sigma  # another spelling of the pairs
+    assert WitnessTable.from_key(sigma.key) is sigma
+    assert WitnessTable(sigma.pairs) is sigma and witness._TABLES[sigma.pairs] is sigma
+    # equality and hashing are identity, both inherited from object
+    assert "__eq__" not in vars(WitnessTable) and "__hash__" not in vars(WitnessTable)
+    assert WitnessTable.__eq__ is object.__eq__ and WitnessTable.__hash__ is object.__hash__
+
+
+def test_copy_and_pickle_keep_the_one_table():
+    sigma = WitnessTable(GHOST_IN)
+    assert copy.copy(sigma) is sigma
+    assert copy.deepcopy(sigma) is sigma
+    assert copy.deepcopy([sigma, {sigma: sigma}])[1] == {sigma: sigma}
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(sigma, protocol)) is sigma, protocol
+
+
+def test_interning_keeps_validation():
+    # a bool or float id never reaches the intern table, though it hashes
+    # and compares equal to an int id of an interned table
+    one = WitnessTable([((1, 0), ())])
+    assert one.pairs == (((0, 1), ()),)
+    for bad in ([((True, 0), ())], [((1.0, 0), ())], [((0, 1), ()), ((True,), ())]):
+        with pytest.raises(InvalidArgument):
+            WitnessTable(bad)
+    with pytest.raises(InvalidArgument):
+        WitnessTable.from_key("[[[true,0],[]]]")
+    assert WitnessTable.from_key("[[[1,0],[]]]") is one
+    # an invalid table is rejected whatever is interned
+    with pytest.raises(InvalidArgument):
+        WitnessTable([((0,), ()), ((1,), ())])
+
+
+def test_ghost_one_returns_the_lattice_faces():
+    # a face reached again after build is the lattice's own object
+    for values in [(1, 1, 1), (2, 1, 1), (2, 2)]:
+        k = build(RoundCounter.of(*values))
+        for sigma in k.simplices:
+            faces = k.facets[sigma]
+            for p in sigma.active_set:
+                face = ghost_one(sigma, p)
+                assert any(face is f for f in faces), (values, sigma, p)
+
+
+def test_interned_tables_keep_their_class(capsys):
+    # a trusted path that stored a wrong class would hand it to every later
+    # lookup of the same pairs; verify runs every trusted path
+    for r in counters_with(3, 5) + [RoundCounter.of(1, 1, 1, 1)]:
+        assert cli.main(["verify", "--counter", r.text()]) == 0, r
+    capsys.readouterr()
+    assert len(witness._TABLES) > 1000
+    for pairs, sigma in witness._TABLES.items():
+        assert type(sigma) is WitnessTable and sigma.pairs is pairs
+        assert sigma.classification == _classify_normalized(pairs).kind, pairs
+
+
 def test_derived_data_matches_set_oracles_exhaustive():
     count = 0
     for sigma in all_prestructures((0, 1, 2), 3):
@@ -235,7 +298,7 @@ def test_layer_kernel_matches_trace_route_exhaustive():
         assert got.pairs == _normalize_pairs(got.pairs)
         for want in routes:
             assert got.pairs == want.pairs
-            assert got.classification == want.classification
+            assert got.classification == _classify_normalized(want.pairs).kind
 
     for sigma in all_prestructures(universe=(0, 1, 2), max_t=3):
         if sigma.is_stable:
@@ -312,7 +375,7 @@ def test_ghost_one_equals_ghost_exhaustive():
     for sigma in all_witness_structures(universe=(0, 1, 2, 3), max_t=3):
         for p in sigma.active_set:
             got, want = ghost_one(sigma, p), ghost_oracle(sigma, {p})
-            assert (got.pairs, got.classification) == (want.pairs, want.classification), (sigma, p)
+            assert (got.pairs, got.classification) == (want.pairs, _classify_normalized(want.pairs).kind), (sigma, p)
             general += sigma.pairs[-1][0] == (p,)
     assert general == 28620
 
@@ -400,9 +463,11 @@ def test_key_roundtrip_and_ordering():
     assert sigma.key == "[[[1,2,3,4],[]],[[1,2],[]],[[3],[4]],[[3],[1]]]"
 
 
-# the functions whose results are valid by construction; a new trusted call
-# site has to be added here on purpose
+# the functions whose results are valid by construction, and the validating
+# constructor, which interns through ``_trusted`` once it has validated; a
+# new trusted call site has to be added here on purpose
 TRUSTED_CALLERS = {
+    "__new__",
     "canonical_form",
     "stabilize",
     "ghost",
