@@ -14,6 +14,7 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import cache
+from operator import attrgetter
 
 from .errors import CollapseStuck, InvalidArgument, PreconditionViolation
 from .rounds import RoundCounter
@@ -48,24 +49,23 @@ def _emit(records, fmt):
 
 
 def _structural(*fields):
-    """Runner failing on the first counterexample of any of these StructureReport fields."""
-
-    def run(r, structure):
-        bad = [ce for field, ce in structure().failures if field in fields]
-        return not bad, bad[0] if bad else None
-
-    return run
+    """Runner showing the first counterexample of any of these StructureReport fields."""
+    return lambda r, structure: next((ce for field, ce in structure().failures if field in fields), None)
 
 
-def _verdict(bad, show=lambda rec: f"{rec.check} {rec.params}"):
-    """(ok, counterexample): ok when nothing failed, else the failure shown
-    (by default a report's ``first_failure`` record, as its check and params)."""
-    return (True, None) if bad is None else (False, show(bad))
+def _first_failure(items, holds, show):
+    """``show`` of the first item that does not hold, or None when all hold."""
+    return next((show(x) for x in items if not holds(x)), None)
 
 
-def _first_bad(items, holds, show):
-    """The verdict on the first item that does not hold."""
-    return _verdict(next((x for x in items if not holds(x)), None), show)
+_ok = attrgetter("ok")
+_law = "{0.check} {0.params}".format  # a failed record shown as its law and parameters
+
+
+def _replay_failure(seq, ver) -> str:
+    """Why the collapse replay failed, at the step it names, if it names one."""
+    where = "" if ver.failed_index is None else f" at {seq.locate(ver.failed_index)}"
+    return f"{ver.reason}{where}"
 
 
 def _collapse(r, _):
@@ -73,25 +73,19 @@ def _collapse(r, _):
     try:
         seq = topology.collapse_to_point(r)
     except CollapseStuck as exc:
-        return False, str(exc)
+        return str(exc)
     ver = topology.validate_collapse(k, seq)
-    ok = bool(ver) and len(seq.residual) == len(k.simplices) - 2 * len(seq.steps)
-    ok = ok and sorted(s.dim for s in seq.residual) == [-1, 0]
-    if not ok and ver.failed_index is not None:
-        return False, f"{ver.reason} at {seq.locate(ver.failed_index)}"
-    return ok, None if ok else ver.reason or "bad residual"
+    if not ver:
+        return _replay_failure(seq, ver)
+    point = sorted(s.dim for s in seq.residual) == [-1, 0]
+    return None if point and len(seq.residual) == len(k.simplices) - 2 * len(seq.steps) else "bad residual"
 
 
 def _homology(r, _):
     k = complexes.build(r)
     prof = topology.homology_gf2(k)
     ok = prof.betti == (1,) + (0,) * k.dim and prof.euler == 1
-    return ok, None if ok else f"betti={prof.betti} euler={prof.euler}"
-
-
-def _chromatic(r, _):
-    ok = complexes.chromatic_check(r)
-    return ok, None if ok else "simplex sets differ"
+    return None if ok else f"betti={prof.betti} euler={prof.euler}"
 
 
 def _no_passive(r):
@@ -101,23 +95,25 @@ def _no_passive(r):
 # check name -> (skip rule, runner), in report order.  A skip rule maps the
 # counter to the reason the check does not apply, or None to run it.  A runner
 # maps the counter and ``structure`` (the run's one ``structural_checks``
-# report, made on first call) to (ok, counterexample); it looks each layer
-# function up on its module when it runs, so spans and test doubles see it.
+# report, made on first call) to its verdict: None when the check holds, else
+# the counterexample text.  It looks each layer function up on its module when
+# it runs, so spans and test doubles see it.
 CHECKS = {
     "pure": (None, _structural("pure")),
     "pseudo": (None, _structural("pseudomanifold", "boundary_matches")),
     "connected": (None, _structural("strongly_connected")),
     "reconstruction": (None, _structural("reconstruction_injective")),
-    "incidence": (None, lambda r, _: _verdict(decomposition.verify_incidence(r).first_failure)),
-    "strata": (None, lambda r, _: _first_bad(
+    "incidence": (None, lambda r, _: _first_failure(decomposition.verify_incidence(r).records, _ok, _law)),
+    "strata": (None, lambda r, _: _first_failure(
         decomposition.all_stratum_ids(r), lambda sid: decomposition.verify_stratum_iso(r, sid), repr)),
-    "diagrams": (None, lambda r, _: _verdict(decomposition.verify_diagrams(r).first_failure)),
-    "partition": (None, lambda r, _: _verdict(
-        decomposition.strata_partition(complexes.build(r)).first_failure, lambda rec: rec.params)),
+    "diagrams": (None, lambda r, _: _first_failure(decomposition.verify_diagrams(r).records, _ok, _law)),
+    "partition": (None, lambda r, _: _first_failure(
+        decomposition.strata_partition(complexes.build(r)).records, _ok, attrgetter("params"))),
     "collapse": (None, _collapse),
     "homology": (None, _homology),
-    "chromatic": (lambda r: None if complexes.is_zero_one(r) else "counter is not 0/1-valued", _chromatic),
-    "cone": (_no_passive, lambda r, _: _first_bad(
+    "chromatic": (lambda r: None if complexes.is_zero_one(r) else "counter is not 0/1-valued",
+                  lambda r, _: None if complexes.chromatic_check(r) else "simplex sets differ"),
+    "cone": (_no_passive, lambda r, _: _first_failure(
         sorted(r.passive), lambda p: complexes.cone_check(r, p), "apex={}".format)),
 }
 
@@ -140,7 +136,8 @@ def cmd_verify(r: RoundCounter, args) -> int:
         skip, run = CHECKS[name]
         reason = skip(r) if skip else None
         if reason is None:
-            records.append(CheckRecord(name, r.text(), *run(r, structure)))
+            bad = run(r, structure)
+            records.append(CheckRecord(name, r.text(), bad is None, bad))
         else:
             records.append(CheckRecord(name, f"skipped: {reason}", True))
     _emit(records, args.format)
@@ -196,8 +193,7 @@ def cmd_collapse(r: RoundCounter, args) -> int:
     else:
         print(f"steps={len(seq.steps)} residual={len(seq.residual)} valid={str(bool(ver)).lower()}")
     if not ver:
-        where = "" if ver.failed_index is None else f" at {seq.locate(ver.failed_index)}"
-        print(f"error: {ver.reason}{where}", file=sys.stderr)
+        print(f"error: {_replay_failure(seq, ver)}", file=sys.stderr)
     return 0 if ver else 1
 
 

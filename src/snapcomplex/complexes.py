@@ -182,12 +182,19 @@ class StructureReport:
 
 
 def _vertex_sets(k: Complex) -> dict:
-    """Each simplex's vertex set, read bottom-up off the lattice: a vertex
-    spans itself, any other simplex the union of its facets' vertex sets."""
+    """Each simplex's vertex set as an int mask, read bottom-up off the
+    lattice: vertex i of ``k.by_dim[0]`` is bit i, and any other simplex
+    spans the union of its facets' masks."""
     verts = {}
     for d, level in k.by_dim.items():  # dimension -1 up, so facets come first
+        if d == 0:
+            verts.update((s, 1 << i) for i, s in enumerate(level))
+            continue
         for s in level:
-            verts[s] = frozenset((s,)) if d == 0 else frozenset().union(*(verts[f] for f in k.facets[s]))
+            mask = 0
+            for f in k.facets[s]:
+                mask |= verts[f]
+            verts[s] = mask
     return verts
 
 

@@ -31,7 +31,7 @@ and the laws call it, and the tests hold the index to it.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import combinations
 from operator import and_, or_
 from typing import Iterable
@@ -395,14 +395,7 @@ def verify_diagrams(r: RoundCounter) -> Report:
     k = build(r)
     subsets = _subsets(r.active)
     records = []
-    images = {}  # sid -> {table: gamma(table, sid)}, filled on demand
-
-    def peel(sigma, sid):
-        known = images.setdefault(sid, {})
-        image = known.get(sigma)
-        if image is None:
-            image = known[sigma] = gamma(sigma, sid)
-        return image
+    peel = cache(lambda sigma, sid: gamma(sigma, sid))  # looks gamma up on each miss, as a direct call would
 
     def replay(check, params, sid, law):
         """Record the least member, in lattice order, of the stratum sid that breaks law, if any."""

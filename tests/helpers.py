@@ -209,6 +209,11 @@ def vertices(sigma: WitnessTable) -> frozenset:
     return frozenset(ghost(sigma, act - {a}) for a in act)
 
 
+def vertex_set(k, mask: int) -> frozenset:
+    """The vertices of k whose bits, by position in ``k.by_dim[0]``, are set in mask."""
+    return frozenset(v for i, v in enumerate(k.by_dim.get(0, ())) if mask >> i & 1)
+
+
 def has_face(sigma: WitnessTable, tau: WitnessTable) -> bool:
     """Face criterion: tau <= sigma iff tau is the ghosting of sigma by A(sigma)-A(tau)."""
     if not tau.active_set <= sigma.active_set:
@@ -246,6 +251,14 @@ def build_oracle(r: RoundCounter) -> Complex:
 def levels_with(k, extra) -> tuple:
     """The levels of k, dimension -1 up, with ``extra`` put at the end of its level."""
     return tuple(level + (extra,) if d == extra.dim else level for d, level in k.by_dim.items())
+
+
+def without_second_coface(k) -> tuple:
+    """k with the second coface of its first interior ridge dropped from that
+    ridge's cofacets, and the ridge."""
+    ridge = next(s for s in k.by_dim[k.dim - 1] if len(k.cofacets[s]) == 2)
+    cofacets = {**k.cofacets, ridge: k.cofacets[ridge][:1]}
+    return Complex(k.counter, tuple(k.by_dim.values()), k.facets, cofacets), ridge
 
 
 def complex_json_oracle(k) -> str:

@@ -11,7 +11,7 @@ from snapcomplex import RoundCounter, chromatic_check, cli, decomposition
 from snapcomplex.cli import main
 from snapcomplex.errors import PreconditionViolation
 from snapcomplex.reports import CheckRecord, Report
-from tests.helpers import counters_with, levels_with, vertices
+from tests.helpers import counters_with, levels_with, vertex_set, vertices, without_second_coface
 
 
 def run(capsys, *argv):
@@ -221,11 +221,10 @@ def test_verify_other_counters_pass(capsys):
 
 
 def test_failing_check_sets_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(cli.CHECKS, "pure", (None, lambda r, structure: (False, "some-simplex-key")))
+    monkeypatch.setitem(cli.CHECKS, "pure", (None, lambda r, structure: "some-simplex-key"))
     code, out, _ = run(capsys, "verify", "--counter", "1,1", "--checks", "pure,homology")
     assert code == 1
-    assert "pure: FAIL" in out and "some-simplex-key" in out
-    assert "homology: ok" in out
+    assert out == "pure: FAIL (1,1) counterexample=some-simplex-key\nhomology: ok (1,1)\n"
 
 
 def test_verify_runs_structural_checks_once(capsys, monkeypatch):
@@ -379,4 +378,106 @@ def test_verify_and_lattice_vertex_sets_on_large_counters():
     for values in ((2, 2, 2, 1), (3, 3, 3)):
         k = complexes.build.__wrapped__(RoundCounter.of(*values))  # not kept in the build cache
         verts = complexes._vertex_sets(k)
-        assert all(verts[s] == vertices(s) for s in k.simplices), values
+        assert all(vertex_set(k, verts[s]) == vertices(s) for s in k.simplices), values
+
+
+def _rig_pseudo(monkeypatch):
+    from snapcomplex import complexes
+
+    rigged, ridge = without_second_coface(complexes.build(RoundCounter.of(1, 1, 1)))
+    monkeypatch.setattr(complexes, "build", lambda r: rigged)
+    return f"boundary: {ridge.key}"
+
+
+def _rig_strata(monkeypatch):
+    bad = decomposition.StratumId({1}, {1})
+    monkeypatch.setattr(decomposition, "verify_stratum_iso", lambda r, sid: sid != bad)
+
+
+def _rig_homology(monkeypatch):
+    from snapcomplex import topology
+
+    monkeypatch.setattr(topology, "homology_gf2", lambda k: topology.BettiProfile((1, 1, 0), 0))
+
+
+def _rig_chromatic(monkeypatch):
+    from snapcomplex import complexes
+
+    monkeypatch.setattr(complexes, "chromatic_check", lambda r: False)
+
+
+def _rig_cone(monkeypatch):
+    from snapcomplex import complexes
+
+    monkeypatch.setattr(complexes, "cone_check", lambda r, apex: False)
+
+
+def _rig_collapse_stuck(monkeypatch):
+    from snapcomplex import topology
+    from snapcomplex.errors import CollapseStuck
+
+    def stuck(r):
+        raise CollapseStuck(4, "no free face among 5 surviving simplices")
+
+    monkeypatch.setattr(topology, "collapse_to_point", stuck)
+
+
+def _rig_collapse_sequence(edit):
+    """A rig that passes each real collapse sequence through edit."""
+
+    def rig(monkeypatch):
+        from snapcomplex import topology
+
+        real = topology.collapse_to_point
+        monkeypatch.setattr(topology, "collapse_to_point", lambda r: edit(real(r)))
+
+    return rig
+
+
+def _without_last_step(seq):
+    # the last pair kept in the residual: a legal replay whose residual is not a point
+    from snapcomplex.topology import CollapseSequence
+
+    last = seq.steps[-1]
+    return CollapseSequence(seq.steps[:-1], seq.residual + (last.free, last.coface), seq.batches)
+
+
+def _with_one_residual(seq):
+    from snapcomplex.topology import CollapseSequence
+
+    return CollapseSequence(seq.steps, seq.residual[:1], seq.batches)
+
+
+# case -> (check, counter, rig, counterexample): the rig patches one layer
+# function on its module, and returns the counterexample when it depends on
+# the lattice
+FAIL_LINES = {
+    "pseudo": ("pseudo", "1,1,1", _rig_pseudo, None),
+    "strata": ("strata", "1,1,1", _rig_strata, "StratumId(S=[1], A=[1], V=[])"),
+    "homology": ("homology", "1,1,1", _rig_homology, "betti=(1, 1, 0) euler=0"),
+    "chromatic": ("chromatic", "1,1", _rig_chromatic, "simplex sets differ"),
+    "cone": ("cone", "1,1,0,0", _rig_cone, "apex=2"),
+    "collapse-stuck": ("collapse", "1,1,1", _rig_collapse_stuck, "stage 4: no free face among 5 surviving simplices"),
+    "collapse-not-a-point": ("collapse", "1,1,1", _rig_collapse_sequence(_without_last_step), "bad residual"),
+    "collapse-residual": (
+        "collapse", "1,1,1", _rig_collapse_sequence(_with_one_residual), "residual does not match the replay"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAIL_LINES)
+def test_each_verify_row_prints_its_failure(case, capsys, monkeypatch):
+    check, counter, rig, want = FAIL_LINES[case]
+    want = rig(monkeypatch) or want
+    assert run(capsys, "verify", "--counter", counter, "--checks", check) == (
+        1, f"{check}: FAIL ({counter}) counterexample={want}\n", ""
+    )
+    record = {"check": check, "counterexample": want, "ok": False, "params": counter}
+    assert run(capsys, "verify", "--counter", counter, "--checks", check, "--format", "json") == (
+        1, json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n", ""
+    )
+    if case == "collapse-residual":
+        # the collapse command keeps its stdout and names the mismatch on stderr
+        assert run(capsys, "collapse", "--counter", counter) == (
+            1, "steps=24 residual=1 valid=false\n", f"error: {want}\n"
+        )

@@ -36,7 +36,9 @@ from tests.helpers import (
     has_face,
     levels_with,
     m_count_brute,
+    vertex_set,
     vertices,
+    without_second_coface,
 )
 
 # the structural corpus of the acceptance suite
@@ -288,6 +290,21 @@ def test_structural_checks_catch_a_ridge_with_three_cofaces():
     assert not rep.ok
 
 
+def test_structural_checks_catch_a_simplex_below_the_top_with_no_coface():
+    k = build(RoundCounter.of(1, 1, 1))
+    lone = k.by_dim[0][1]
+    rep = structural_checks(Complex(k.counter, tuple(k.by_dim.values()), k.facets, {**k.cofacets, lone: ()}))
+    assert _fields(rep) == (False, True, True, True, True)
+    assert rep.counterexample == f"pure: {lone.key}"
+
+
+def test_structural_checks_catch_an_interior_ridge_with_one_coface():
+    rigged, ridge = without_second_coface(build(RoundCounter.of(1, 1, 1)))
+    rep = structural_checks(rigged)
+    assert _fields(rep)[:3] == (True, True, False)
+    assert rep.failures[0] == ("boundary_matches", f"boundary: {ridge.key}")
+
+
 def test_structural_checks_catch_two_simplices_with_one_vertex_set():
     # a face listed twice, as a build without face dedup would list it
     k = build(RoundCounter.of(1, 1, 1))
@@ -324,6 +341,18 @@ def test_cone_check_catches_a_base_simplex_no_image_reaches(monkeypatch):
     assert cone_check(r, 2)
     monkeypatch.setattr(complexes, "build", lambda c: padded if c == base_r else real(c))
     # every simplex still maps onto its faces, but the images miss a base simplex
+    assert not cone_check(r, 2)
+
+
+def test_cone_check_catches_a_simplex_in_neither_part(monkeypatch):
+    r = RoundCounter.of(1, 1, 0)
+    real = complexes.build
+    k = real(r)
+    stray = real(r.delete((2,))).tops[0]  # the apex in neither W_0 nor G_0
+    rigged = Complex(r, levels_with(k, stray), k.facets, k.cofacets)
+    assert cone_check(r, 2)
+    monkeypatch.setattr(complexes, "build", lambda c: rigged if c == r else real(c))
+    # the two parts still map onto the base face by face, but miss a simplex
     assert not cone_check(r, 2)
 
 
@@ -422,7 +451,7 @@ def test_lattice_vertex_sets_equal_ghosted_vertices():
         verts = complexes._vertex_sets(k)
         assert len(verts) == len(k.simplices)
         for s in k.simplices:
-            assert verts[s] == vertices(s), (r, s)
+            assert vertex_set(k, verts[s]) == vertices(s), (r, s)
 
 
 def test_chromatic_examples():

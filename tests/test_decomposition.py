@@ -606,3 +606,15 @@ def test_verify_diagrams_decides_membership_only_in_gamma(monkeypatch):
     )
     assert verify_diagrams(RoundCounter.of(1, 1, 1, 1)).ok
     assert calls.count("membership") == calls.count("gamma") > 0
+
+
+def test_stratum_rejects_members_whose_faces_lie_outside(monkeypatch):
+    # a class index listing, under one (S, A), a class whose faces lie in other
+    # classes; stratum's lru_cache is bypassed, so no rigged result is kept
+    k = build(RoundCounter.of(1, 1, 1))
+    classes = _classes(k)
+    i = next(i for i, cls in enumerate(classes) if any(f not in cls for s in cls for f in k.facets[s]))
+    sid = StratumId({0})
+    monkeypatch.setattr(decomposition, "_class_index", lambda kk: {(sid.first, sid.ghosts): [i]})
+    with pytest.raises(AssertionError, match=r"StratumId\(S=\[0\], A=\[\], V=\[\]\) is not boundary-closed"):
+        decomposition.stratum.__wrapped__(k, sid)

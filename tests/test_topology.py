@@ -16,7 +16,7 @@ from snapcomplex import (
 )
 from snapcomplex import topology
 from snapcomplex.errors import CollapseStuck, PreconditionViolation
-from snapcomplex.topology import CollapseBatch, CollapseStep, gf2_rank
+from snapcomplex.topology import CollapseBatch, CollapseStep, ValidationResult, gf2_rank
 from tests.helpers import (
     betti_of_simplex_set,
     collapse_json_oracle,
@@ -107,6 +107,25 @@ def test_validate_rejects_reordered_steps():
         (CollapseStep(seq.steps[0].free, seq.steps[1].coface),) + seq.steps[1:], seq.residual
     )
     assert not validate_collapse(k, junk)
+
+
+def test_validate_rejects_a_step_on_an_unknown_or_removed_simplex():
+    r = RoundCounter.of(1, 1)
+    k = build(r)
+    seq = collapse_to_point(r)
+    stranger = build(RoundCounter.of(1, 1, 1)).tops[0]
+    unknown = (CollapseStep(stranger, seq.steps[0].coface),) + seq.steps
+    repeated = seq.steps[:2] + seq.steps[1:]
+    for steps, index in ((unknown, 0), (repeated, 2)):
+        bad = validate_collapse(k, CollapseSequence(steps, seq.residual))
+        assert bad == ValidationResult(False, index, "step names a removed or unknown simplex"), index
+
+
+def test_locate_names_a_step_outside_every_batch_by_its_index():
+    seq = collapse_to_point(RoundCounter.of(1, 1, 1))
+    assert seq.locate(11) == "step 11 (stage 2, S={0,1,2}, A={})"
+    assert seq.locate(len(seq.steps)) == f"step {len(seq.steps)}"
+    assert CollapseSequence(seq.steps, seq.residual).locate(11) == "step 11"
 
 
 def test_validate_checks_residual():
