@@ -62,23 +62,13 @@ _ok = attrgetter("ok")
 _law = "{0.check} {0.params}".format  # a failed record shown as its law and parameters
 
 
-def _replay_failure(seq, ver) -> str:
-    """Why the collapse replay failed, at the step it names, if it names one."""
-    where = "" if ver.failed_index is None else f" at {seq.locate(ver.failed_index)}"
-    return f"{ver.reason}{where}"
-
-
 def _collapse(r, _):
     k = complexes.build(r)
     try:
         seq = topology.collapse_to_point(r)
     except CollapseStuck as exc:
         return str(exc)
-    ver = topology.validate_collapse(k, seq)
-    if not ver:
-        return _replay_failure(seq, ver)
-    point = sorted(s.dim for s in seq.residual) == [-1, 0]
-    return None if point and len(seq.residual) == len(k.simplices) - 2 * len(seq.steps) else "bad residual"
+    return topology.collapse_failure(k, seq)
 
 
 def _homology(r, _):
@@ -184,17 +174,17 @@ def cmd_collapse(r: RoundCounter, args) -> int:
     except CollapseStuck as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    ver = topology.validate_collapse(k, seq)
+    bad = topology.collapse_failure(k, seq)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(seq.to_json() + "\n")
     if args.format == "json" and not args.out:
         print(seq.to_json())
     else:
-        print(f"steps={len(seq.steps)} residual={len(seq.residual)} valid={str(bool(ver)).lower()}")
-    if not ver:
-        print(f"error: {_replay_failure(seq, ver)}", file=sys.stderr)
-    return 0 if ver else 1
+        print(f"steps={len(seq.steps)} residual={len(seq.residual)} valid={str(bad is None).lower()}")
+    if bad is not None:
+        print(f"error: {bad}", file=sys.stderr)
+    return 0 if bad is None else 1
 
 
 def cmd_export(r: RoundCounter, args) -> int:
@@ -230,7 +220,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return COMMANDS[args.command][0](r, args)
-    except (InvalidArgument, PreconditionViolation) as exc:
+    except BrokenPipeError:
+        raise  # run() handles a reader that left
+    except (InvalidArgument, PreconditionViolation, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -374,8 +374,7 @@ def chromatic_check(r: RoundCounter) -> bool:
         else:
             expected.add(WitnessTable([(w0, g0)]))
 
-    built = set(build(r).simplices)
-    return {s.pairs for s in built} == {s.pairs for s in expected}
+    return set(build(r).simplices) == expected
 
 
 # ---------------------------------------------------------------------------

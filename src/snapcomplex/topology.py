@@ -245,6 +245,16 @@ def validate_collapse(k: Complex, seq: CollapseSequence) -> ValidationResult:
     return ValidationResult(True)
 
 
+def collapse_failure(k: Complex, seq: CollapseSequence) -> str | None:
+    """None when seq is a legal replay that collapses k to one vertex plus the
+    empty simplex; else why not: the replay's reason, at the step (stage and
+    (S, A) batch) it names if it names one, or ``bad residual``."""
+    ver = validate_collapse(k, seq)
+    if not ver:
+        return ver.reason + ("" if ver.failed_index is None else f" at {seq.locate(ver.failed_index)}")
+    return None if sorted(s.dim for s in seq.residual) == [-1, 0] else "bad residual"
+
+
 # ---------------------------------------------------------------------------
 # Mod-2 homology
 # ---------------------------------------------------------------------------

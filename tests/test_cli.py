@@ -198,6 +198,8 @@ def test_collapse_command(tmp_path, capsys):
     assert "steps=3 residual=2 valid=true" in out
     payload = json.loads(out_file.read_text())
     assert len(payload["steps"]) == 3
+    # the empty counter's complex is the empty simplex alone: no vertex to collapse to
+    assert run(capsys, "collapse", "--counter", "x") == (1, "steps=0 residual=1 valid=false\n", "error: bad residual\n")
 
 
 def test_export_formats(capsys):
@@ -325,6 +327,20 @@ def test_deep_counter_exits_cleanly():
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stderr.startswith("error:"), (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, argv
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path):
+    # exit 1 means a failed check; a file that cannot be opened is a usage error
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for command in ("build", "collapse", "export"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "snapcomplex.cli", command, "--counter", "1,1", "--out", str(tmp_path / "missing" / "f")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), (command, proc.stderr)
+        assert proc.stderr.startswith("error:"), (command, proc.stderr)
+        assert "Traceback" not in proc.stderr, command
 
 
 def test_closed_stdout_exits_1_without_traceback():
@@ -465,6 +481,14 @@ FAIL_LINES = {
 }
 
 
+# collapse case -> the collapse command's stdout: nothing when the plan is stuck
+COLLAPSE_STDOUT = {
+    "collapse-stuck": "",
+    "collapse-not-a-point": "steps=23 residual=4 valid=false\n",
+    "collapse-residual": "steps=24 residual=1 valid=false\n",
+}
+
+
 @pytest.mark.parametrize("case", FAIL_LINES)
 def test_each_verify_row_prints_its_failure(case, capsys, monkeypatch):
     check, counter, rig, want = FAIL_LINES[case]
@@ -476,8 +500,6 @@ def test_each_verify_row_prints_its_failure(case, capsys, monkeypatch):
     assert run(capsys, "verify", "--counter", counter, "--checks", check, "--format", "json") == (
         1, json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n", ""
     )
-    if case == "collapse-residual":
-        # the collapse command keeps its stdout and names the mismatch on stderr
-        assert run(capsys, "collapse", "--counter", counter) == (
-            1, "steps=24 residual=1 valid=false\n", f"error: {want}\n"
-        )
+    if check == "collapse":
+        # one certificate: the collapse command fails with the row's counterexample on stderr
+        assert run(capsys, "collapse", "--counter", counter) == (1, COLLAPSE_STDOUT[case], f"error: {want}\n")

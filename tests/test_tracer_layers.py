@@ -11,7 +11,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from snapcomplex import RoundCounter, cli, complexes, witness
+from snapcomplex import RoundCounter, cli, complexes, topology, witness
 
 
 def _load(name, monkeypatch):
@@ -78,3 +78,20 @@ def test_cli_writes_json_through_the_module_attribute(monkeypatch, tmp_path):
         calls.clear()
         assert cli.main(argv) == 0
         assert calls == [RoundCounter.of(2, 1)], argv
+
+
+def test_both_collapse_verdicts_replay_through_the_module_attribute(monkeypatch):
+    # the tracer times topology.validate_collapse by wrapping that attribute;
+    # the collapse command and the verify row each replay once through it
+    real = topology.validate_collapse
+    calls = []
+
+    def counting(k, seq):
+        calls.append(k.counter)
+        return real(k, seq)
+
+    monkeypatch.setattr(topology, "validate_collapse", counting)
+    for argv in (["collapse", "--counter", "1,1"], ["verify", "--counter", "1,1", "--checks", "collapse"]):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert calls == [RoundCounter.of(1, 1)], argv
