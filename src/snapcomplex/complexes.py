@@ -206,12 +206,22 @@ def structural_checks(k: Complex) -> StructureReport:
         if not k.cofacets[s]:
             failures.setdefault("pure", f"pure: {s.key}")
 
+    # the boundary, the closure of the one-coface ridges walked down facets,
+    # must be exactly the simplices with a round-0 ghost, level by level
+    closure = set()
     for s in k.by_dim.get(n - 1, ()):
         ncof = len(k.cofacets[s])
         if ncof not in (1, 2):
             failures.setdefault("pseudomanifold", f"pseudomanifold: {s.key} has {ncof} cofaces")
-        if (ncof == 1) != bool(s.g(0)):
+        if ncof == 1:
+            closure.add(s)
+        if (ncof == 1) != bool(s.pairs[0][1]):
             failures.setdefault("boundary_matches", f"boundary: {s.key}")
+    for d in range(n - 2, -2, -1):
+        closure = {f for s in closure for f in k.facets[s]}
+        for s in k.by_dim.get(d, ()):
+            if (s in closure) != bool(s.pairs[0][1]):
+                failures.setdefault("boundary_matches", f"boundary: {s.key}")
 
     if not _dual_graph_connected(k):
         failures.setdefault("strongly_connected", "dual graph disconnected")
@@ -387,16 +397,21 @@ def complex_json_pieces(k: Complex):
     they come: the bytes of ``json.dumps(..., sort_keys=True,
     separators=(",", ":"))`` on {"counter", "f_vector", "simplices":
     [{"dim", "facets", "key"}, ...], "tops"}.  Keys from ``witness.keys``
-    hold only digits, brackets and commas, so they need no escaping."""
-    key = witness.keys(k.simplices)
+    hold only digits, brackets and commas, so they need no escaping.  They
+    are made one level at a time: the facets of a level-d simplex lie in
+    level d-1 and the tops are the last level, so only the keys of two
+    adjacent levels are held at once."""
     head = json.dumps({**k.counter.to_json_obj(), "f_vector": list(k.f_vector)}, sort_keys=True, separators=(",", ":"))
     yield head[:-1] + ',"simplices":['
     sep = ""
+    below = {}
     for d, level in k.by_dim.items():  # the order of k.simplices
+        key = witness.keys(level)
         for s in level:
-            yield f'{sep}{{"dim":{d},"facets":{_key_list(key, k.facets[s])},"key":"{key[s]}"}}'
+            yield f'{sep}{{"dim":{d},"facets":{_key_list(below, k.facets[s])},"key":"{key[s]}"}}'
             sep = ","
-    yield f'],"tops":{_key_list(key, k.tops)}}}'
+        below = key
+    yield f'],"tops":{_key_list(below, k.tops)}}}'
 
 
 def complex_to_json(k: Complex) -> str:

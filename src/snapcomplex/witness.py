@@ -32,7 +32,9 @@ many tables at once, printing each distinct layer once.
 Tables are hash-consed: each ``pairs`` encoding has one ``WitnessTable``
 object for the life of the process, so a face reached from many cofaces, or
 a stratum image, is the lattice's own object.  Equality and hashing are
-object identity.  Everything here is immutable.
+object identity.  The layers are hash-consed one level below: each (W, G)
+layer of a table is the one object of its value.  Everything here is
+immutable.
 """
 
 from __future__ import annotations
@@ -116,8 +118,10 @@ def _layer_text(pair) -> str:
     return "[[" + ",".join(map(str, w)) + "],[" + ",".join(map(str, g)) + "]]"
 
 
-# pairs -> its one table, kept for the life of the process
+# pairs -> its one table, and (W, G) layer -> its one object, both kept for
+# the life of the process: a lattice has many tables but few distinct layers
 _TABLES = {}
+_LAYERS = {}
 
 
 class WitnessTable:
@@ -150,14 +154,15 @@ class WitnessTable:
         ``complexes.enumerate_top``, the stratum transport maps
         (``decomposition.gamma``/``rho``, ``complexes.delta_v``/``undelta_v``)
         and the join images of ``complexes.cone_check`` use it; every other
-        input goes through the validating constructor."""
+        input goes through the validating constructor.  A new table's layers
+        are replaced by their ``_LAYERS`` objects before it is stored."""
         self = _TABLES.get(pairs)
         if self is None:
             self = object.__new__(cls)
-            self.pairs = pairs
+            self.pairs = tuple([_LAYERS.setdefault(pair, pair) for pair in pairs])
             self.classification = kind
             # setdefault is atomic, so threads that race on new pairs share one table
-            self = _TABLES.setdefault(pairs, self)
+            self = _TABLES.setdefault(self.pairs, self)
         return self
 
     def __reduce__(self):

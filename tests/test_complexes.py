@@ -305,6 +305,19 @@ def test_structural_checks_catch_an_interior_ridge_with_one_coface():
     assert rep.failures[0] == ("boundary_matches", f"boundary: {ridge.key}")
 
 
+def test_structural_checks_catch_an_interior_face_below_a_boundary_ridge():
+    # every ridge keeps its cofaces and its round-0 ghosts, so a check on
+    # the ridges alone passes; the closure of the boundary ridges gains an
+    # interior vertex
+    k = build(RoundCounter.of(1, 1, 1))
+    ridge = next(e for e in k.by_dim[1] if len(k.cofacets[e]) == 1)
+    inner = next(v for v in k.by_dim[0] if not v.pairs[0][1])
+    facets = {**k.facets, ridge: (k.facets[ridge][0], inner)}
+    rep = structural_checks(Complex(k.counter, tuple(k.by_dim.values()), facets, k.cofacets))
+    assert _fields(rep)[:4] == (True, True, False, True)
+    assert rep.failures[0] == ("boundary_matches", f"boundary: {inner.key}")
+
+
 def test_structural_checks_catch_two_simplices_with_one_vertex_set():
     # a face listed twice, as a build without face dedup would list it
     k = build(RoundCounter.of(1, 1, 1))
@@ -515,6 +528,24 @@ def _json_corpus():
 def test_complex_to_json_equals_the_object_tree():
     for r, k in _json_corpus():
         assert complex_to_json(k) == complex_json_oracle(k), r
+
+
+def test_json_keys_are_made_one_level_at_a_time(monkeypatch):
+    # each level's keys are asked for once, so the writer holds two levels
+    # of keys, never the whole lattice's
+    calls = []
+    real = witness.keys
+
+    def keys(tables):
+        calls.append(tuple(tables))
+        return real(tables)
+
+    monkeypatch.setattr(witness, "keys", keys)
+    for text in ("1,1,1", "2,x,1,0", "0"):
+        k = build(RoundCounter.parse(text))
+        calls.clear()
+        assert complex_to_json(k) == complex_json_oracle(k), text
+        assert calls == list(k.by_dim.values()), text
 
 
 def test_batch_keys_equal_each_key():

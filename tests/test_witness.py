@@ -187,16 +187,56 @@ def test_ghost_one_returns_the_lattice_faces():
                 assert any(face is f for f in faces), (values, sigma, p)
 
 
-def test_interned_tables_keep_their_class(capsys):
-    # a trusted path that stored a wrong class would hand it to every later
-    # lookup of the same pairs; verify runs every trusted path
+@pytest.fixture(scope="module")
+def verified_corpus():
+    """Run ``verify`` over a corpus, which takes every trusted path."""
     for r in counters_with(3, 5) + [RoundCounter.of(1, 1, 1, 1)]:
         assert cli.main(["verify", "--counter", r.text()]) == 0, r
-    capsys.readouterr()
+
+
+def test_interned_tables_keep_their_class(verified_corpus):
+    # a trusted path that stored a wrong class would hand it to every later
+    # lookup of the same pairs
     assert len(witness._TABLES) > 1000
     for pairs, sigma in witness._TABLES.items():
         assert type(sigma) is WitnessTable and sigma.pairs is pairs
         assert sigma.classification == _classify_normalized(pairs).kind, pairs
+
+
+def test_every_layer_is_the_one_object_of_its_value(verified_corpus):
+    assert len(witness._LAYERS) > 50
+    for pair, layer in witness._LAYERS.items():
+        assert layer is pair and _normalize_pairs((pair,)) == (pair,), pair
+        assert all(type(part) is tuple for part in pair), pair
+    for sigma in witness._TABLES.values():
+        assert all(witness._LAYERS[pair] is pair for pair in sigma.pairs), sigma
+
+
+def _interned(sigma):
+    return all(witness._LAYERS.get(pair) is pair for pair in sigma.pairs)
+
+
+def test_every_route_to_a_table_interns_its_layers(monkeypatch):
+    # fresh ids, so each table is made here, not found
+    a = WitnessTable([({901, 902}, ()), ({901}, {902})])
+    b = WitnessTable.from_key("[[[901,902],[]],[[902],[901]]]")
+    assert _interned(a) and _interned(b)
+    assert a.pairs[0] is b.pairs[0]  # one layer value, one object
+    # copy and pickle rebuild through the constructor; in a process that has
+    # not met the table, they make it with interned layers
+    for route in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+        monkeypatch.setattr(witness, "_TABLES", {})
+        monkeypatch.setattr(witness, "_LAYERS", {})
+        sigma = route(a)
+        assert sigma is not a and sigma.pairs == a.pairs and _interned(sigma)
+
+
+def test_a_lattice_holds_one_object_per_layer_value():
+    # README's figure: 20 238 simplices share 66 layer objects
+    k = build(RoundCounter.of(2, 2, 2, 1))
+    layers = [pair for s in k.simplices for pair in s.pairs]
+    assert len(k.simplices) == 20238
+    assert len(set(layers)) == len({id(pair) for pair in layers}) == 66
 
 
 def test_derived_data_matches_set_oracles_exhaustive():
