@@ -8,9 +8,8 @@ against brute-force execution enumeration.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable
-
-_FTOP: dict = {}
 
 
 def f_dim1(m: int, n: int) -> int:
@@ -42,17 +41,15 @@ def f_top(values: Iterable[int]) -> int:
     return _f_top_sorted(key)
 
 
+@cache
 def _f_top_sorted(key: tuple) -> int:
     if not key:
         return 1
-    if key in _FTOP:
-        return _FTOP[key]
     n = len(key)
     total = 0
     for mask in range(1, 1 << n):
         dec = tuple(key[i] - 1 if mask >> i & 1 else key[i] for i in range(n))
         total += _f_top_sorted(tuple(sorted(v for v in dec if v > 0)))
-    _FTOP[key] = total
     return total
 
 

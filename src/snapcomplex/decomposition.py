@@ -98,24 +98,16 @@ def membership(sigma: WitnessTable, sid: StratumId) -> str:
     return OUT
 
 
-@lru_cache(maxsize=8)
-def _classes(k: Complex) -> tuple:
-    """The simplices of k grouped by the layer-1 data that membership reads."""
-    groups = {}
-    for s in k.simplices:
-        groups.setdefault((s.r_set(1), s.g(1), s.g(0)) if s.t >= 1 else s.g(0), []).append(s)
-    return tuple(groups.values())
-
-
 def _subsets(elems) -> list:
     """Every subset of elems as a frozenset, in ``subsets`` order."""
     return [frozenset(c) for c in subsets(elems)]
 
 
 @lru_cache(maxsize=8)
-def _class_index(k: Complex) -> dict:
-    """Every (S, A) with A <= S, mapped to the indexes, ascending, of the
-    classes of ``_classes(k)`` in X_{S,A}; V filters these by G_0.
+def _class_index(k: Complex) -> tuple:
+    """(classes, index): the simplices of k grouped by the layer-1 data that
+    membership reads, and every (S, A) with A <= S mapped to the indexes,
+    ascending, of the classes in X_{S,A}; V filters these by G_0.
 
     Each class lists its pairs from its own data, as ``membership`` decides
     them.  A single-layer class is in the Z part for every S inside G_0 and
@@ -124,10 +116,14 @@ def _class_index(k: Complex) -> dict:
     and A inside S.  W_1 is nonempty, so no pair is listed twice.  The keys
     are plain tuples of frozensets, one per distinct set.
     """
+    groups = {}
+    for s in k.simplices:
+        groups.setdefault((s.r_set(1), s.g(1), s.g(0)) if s.t >= 1 else s.g(0), []).append(s)
+    classes = tuple(groups.values())
     subs = lru_cache(maxsize=None)(_subsets)
     active = frozenset(k.counter.active)
     index = {}
-    for i, cls in enumerate(_classes(k)):
+    for i, cls in enumerate(classes):
         sigma = cls[0]
         if sigma.t == 0:
             firsts = subs(sigma.g(0) & active)
@@ -138,17 +134,16 @@ def _class_index(k: Complex) -> dict:
         for s in firsts:
             for a in subs(s):
                 index.setdefault((s, a), []).append(i)
-    return index
+    return classes, index
 
 
-@lru_cache(maxsize=1024)
 def stratum(k: Complex, sid: StratumId) -> frozenset:
     """X_{S,A,V}: the members of the classes listed under (S, A) whose G_0 contains V."""
     sid.validate(k.counter)
-    classes = _classes(k)
+    classes, index = _class_index(k)
     members = frozenset(
         s
-        for i in _class_index(k).get((sid.first, sid.ghosts), ())
+        for i in index.get((sid.first, sid.ghosts), ())
         if sid.round0 <= classes[i][0].g(0)
         for s in classes[i]
     )
@@ -160,12 +155,12 @@ def stratum(k: Complex, sid: StratumId) -> frozenset:
 def _class_masks(k: Complex):
     """Subsets of the active set, and the X_{S,A}, Y_{S,A} and Z_S class masks (V = 0).
 
-    A mask has bit i set when class i of ``_classes(k)`` lies in the stratum.
-    ``membership`` decides Z before Y, and Z does not depend on A, so
-    Y_{S,A} is X_{S,A} less Z_S.  Z_S is X_{S,S}: with A = S a Y member
+    A mask has bit i set when class i of ``_class_index(k)`` lies in the
+    stratum.  ``membership`` decides Z before Y, and Z does not depend on A,
+    so Y_{S,A} is X_{S,A} less Z_S.  Z_S is X_{S,S}: with A = S a Y member
     would need S inside G_1, which Z has already taken.
     """
-    index = _class_index(k)
+    _, index = _class_index(k)
     subsets = _subsets(k.counter.active)
     # the indexes under a key are distinct, so their bits add up to the mask
     x = {(s, a): sum(1 << i for i in index.get((s, a), ())) for s in subsets for a in _subsets(s)}
@@ -390,15 +385,16 @@ def verify_diagrams(r: RoundCounter) -> Report:
     read it through ``peel``: within one call each (table, sid) pair is
     peeled once, and the image of a member under StratumId(S, A) serves
     every B of the ghost-forcing square and every V of the boundary square.
-    A member that a map rejects breaks the law.
+    No square asks for a stratum twice: the ghost-forcing square fetches
+    X_{S,A} once for all its B.  A member that a map rejects breaks the law.
     """
     k = build(r)
     subsets = _subsets(r.active)
     records = []
     peel = cache(lambda sigma, sid: gamma(sigma, sid))  # looks gamma up on each miss, as a direct call would
 
-    def replay(check, params, sid, law):
-        """Record the least member, in lattice order, of the stratum sid that breaks law, if any."""
+    def replay(check, params, members, law):
+        """Record the least of members, in lattice order, that breaks law, if any."""
 
         def broken(sigma):
             try:
@@ -406,7 +402,7 @@ def verify_diagrams(r: RoundCounter) -> Report:
             except (InvalidArgument, PreconditionViolation):
                 return True
 
-        bad = min(filter(broken, stratum(k, sid)), key=lambda s: (s.dim, s.pairs), default=None)
+        bad = min(filter(broken, members), key=lambda s: (s.dim, s.pairs), default=None)
         records.append(CheckRecord(check, _fmt(*params), bad is None, None if bad is None else bad.key))
 
     # strata-within-strata: peeling A then S agrees with peeling S|A at once
@@ -422,18 +418,19 @@ def verify_diagrams(r: RoundCounter) -> Report:
                 step = peel(sigma, peel_a)
                 return step in rest and peel(step, peel_s) == peel(sigma, peel_sa)
 
-            replay("diagram-strata", (s, a), peel_sa, law)
+            replay("diagram-strata", (s, a), stratum(k, peel_sa), law)
 
     # forcing fewer ghosts differs from forcing more only by round-0 ghosts
     for s in subsets[1:]:  # S nonempty
         for a in _subsets(s):
             more = StratumId(s, a)
+            members = stratum(k, more)
             for b in _subsets(a):
                 fewer = StratumId(s, b)
                 replay(
                     "diagram-ghost-forcing",
                     (s, a, b),
-                    more,
+                    members,
                     lambda sigma: peel(sigma, fewer) == undelta_v(peel(sigma, more), a - b),
                 )
 
@@ -448,7 +445,7 @@ def verify_diagrams(r: RoundCounter) -> Report:
                     phi, psi = peel(sigma, sid), delta_v(sigma, v)
                     return v <= phi.g(0) and psi in dropped and delta_v(phi, v) == peel(psi, sid)
 
-                replay("diagram-boundary", (s, a, v), StratumId(s, a, v), law)
+                replay("diagram-boundary", (s, a, v), stratum(k, StratumId(s, a, v)), law)
 
     return Report(tuple(records))
 

@@ -61,15 +61,22 @@ class Classification:
 
 
 def _normalize_pairs(pairs) -> tuple:
+    """The canonical encoding of a raw pair sequence, and the one shape rule:
+    anything but an iterable of (W, G) pairs of collections of nonnegative
+    int ids raises ``InvalidArgument``."""
+    try:
+        layers = [(entry, *map(tuple, entry)) for entry in pairs]
+    except TypeError as exc:  # pairs, a layer or one of its parts is not iterable
+        raise InvalidArgument(f"not a sequence of (W, G) pairs: {exc}") from None
     out = []
-    for entry in pairs:
-        w, g = entry
-        w = tuple(sorted(set(w)))
-        g = tuple(sorted(set(g)))
-        for p in w + g:
-            if not is_natural(p):
-                raise InvalidArgument(f"process ids must be nonnegative integers: {entry!r}")
-        out.append((w, g))
+    for entry, *parts in layers:
+        if len(parts) != 2:
+            raise InvalidArgument(f"a layer is one (W, G) pair: {entry!r}")
+        w, g = parts
+        # ids are checked before a set can merge True into 1
+        if not all(map(is_natural, w + g)):
+            raise InvalidArgument(f"process ids must be nonnegative integers: {entry!r}")
+        out.append((tuple(sorted(set(w))), tuple(sorted(set(g)))))
     return tuple(out)
 
 
@@ -77,7 +84,7 @@ def classify(pairs) -> Classification:
     """Return the strongest class of a raw pair sequence, or the first violation."""
     try:
         pairs = _normalize_pairs(pairs)
-    except (InvalidArgument, TypeError, ValueError):
+    except InvalidArgument:
         return Classification("invalid", "shape")
     return _classify_normalized(pairs)
 
@@ -248,7 +255,11 @@ class WitnessTable:
 
     @classmethod
     def from_key(cls, key: str) -> "WitnessTable":
-        return cls(json.loads(key))
+        try:
+            pairs = json.loads(key)
+        except json.JSONDecodeError as exc:
+            raise InvalidArgument(f"not a table key: {exc}") from None
+        return cls(pairs)
 
 
 def keys(tables) -> dict:
@@ -286,7 +297,13 @@ class TraceForm:
 
 
 def trace_form(active: Iterable[int], ghosts: Iterable[int], traces: Mapping[int, Iterable[int]]) -> TraceForm:
-    """Validate and normalize a trace form; raises on a violated condition."""
+    """Validate and normalize a trace form; raises on a violated condition.
+
+    Ids and indices obey the one ``is_natural`` rule, checked before a set
+    can merge True into 1."""
+    active, ghosts = tuple(active), tuple(ghosts)
+    if not all(map(is_natural, (*active, *ghosts, *traces))):
+        raise InvalidArgument("process ids must be nonnegative integers")
     active, ghosts = frozenset(active), frozenset(ghosts)
     if active & ghosts:
         raise InvalidArgument(f"active and ghost sets overlap on {sorted(active & ghosts)}")
@@ -294,9 +311,10 @@ def trace_form(active: Iterable[int], ghosts: Iterable[int], traces: Mapping[int
         raise InvalidArgument("trace domain must be exactly the union of active and ghost sets")
     norm = []
     for p in sorted(traces):
-        ix = tuple(sorted(set(traces[p])))
-        if not ix or ix[0] < 0:
+        ix = tuple(traces[p])
+        if not ix or not all(map(is_natural, ix)):
             raise InvalidArgument(f"trace of {p} must be a set of nonnegative indices")
+        ix = tuple(sorted(set(ix)))
         if 0 not in ix:
             raise InvalidArgument(f"condition T violated: 0 not in the trace of {p}")
         norm.append((p, ix))

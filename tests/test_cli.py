@@ -26,6 +26,15 @@ def test_count_output(capsys):
     assert out == "recursion=13 enumeration=13 ok\n"
 
 
+def test_count_json_output(capsys, monkeypatch):
+    code, out, _ = run(capsys, "count", "--counter", "1,1,1", "--format", "json")
+    assert (code, out) == (0, '{"check":"count","counterexample":null,"ok":true,"params":"1,1,1"}\n')
+    monkeypatch.setattr(cli.counting, "f_top", lambda values: 12)
+    code, out, _ = run(capsys, "count", "--counter", "1,1,1", "--format", "json")
+    assert code == 1
+    assert out == '{"check":"count","counterexample":"recursion=12 enumeration=13","ok":false,"params":"1,1,1"}\n'
+
+
 def test_module_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

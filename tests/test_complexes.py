@@ -25,7 +25,7 @@ from snapcomplex import (
     structural_checks,
     witness,
 )
-from snapcomplex.complexes import Complex, expected_endpoint
+from snapcomplex.complexes import Complex, PathReport, expected_endpoint
 from snapcomplex.errors import PreconditionViolation
 from snapcomplex.topology import collapse_to_point
 from tests.helpers import (
@@ -264,6 +264,19 @@ def test_path_profiles():
     assert expected_endpoint(RoundCounter.of(1, 1), 0) == WitnessTable([({0}, {1}), ({0}, ())])
     with pytest.raises(PreconditionViolation):
         path_profile(build(RoundCounter.of(1, 1, 1)))
+
+
+def test_path_profile_failures():
+    k = build(RoundCounter.of(1, 1))
+    # a vertex with no coface is neither an endpoint nor an interior vertex
+    lone = WitnessTable([((0,), (1,))])
+    rigged = Complex(k.counter, levels_with(k, lone), {**k.facets, lone: ()}, {**k.cofacets, lone: ()})
+    assert path_profile(rigged) == PathReport(False, 3, (), f"valency 0: {lone.key}")
+    # an interior vertex that lost a coface is a third leaf
+    rigged, ridge = without_second_coface(k)
+    rep = path_profile(rigged)
+    assert (rep.ok, rep.counterexample) == (False, "wrong endpoints")
+    assert ridge.key in rep.endpoints and len(rep.endpoints) == 3
 
 
 def test_cone_examples():
@@ -670,3 +683,20 @@ def test_build_is_cached_and_bounded():
     r = RoundCounter.of(1, 1)
     assert build(r) is build(r)
     assert build.cache_info().maxsize is not None
+
+
+def test_memo_inventory():
+    # every module-level memo in the package; a new one is added here and in
+    # the README on purpose
+    import importlib
+    import pkgutil
+
+    import snapcomplex
+
+    memos = set()
+    for info in pkgutil.iter_modules(snapcomplex.__path__):
+        module = importlib.import_module(f"snapcomplex.{info.name}")
+        for obj in vars(module).values():
+            if callable(obj) and hasattr(obj, "cache_info"):
+                memos.add(f"{obj.__module__.removeprefix('snapcomplex.')}.{obj.__qualname__}")
+    assert memos == {"complexes.build", "decomposition._class_index", "counting._f_top_sorted"}

@@ -24,7 +24,7 @@ from snapcomplex import (
 )
 from snapcomplex import decomposition
 from snapcomplex.complexes import Complex, undelta_v
-from snapcomplex.decomposition import IN_Y, IN_Z, OUT, _class_index, _class_masks, _classes
+from snapcomplex.decomposition import IN_Y, IN_Z, OUT, _class_index, _class_masks
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
 from snapcomplex.witness import _classify_normalized
 from tests.test_acceptance import CORPUS_STRATA
@@ -189,7 +189,8 @@ def test_stratum_matches_per_simplex_oracle():
 
 def _decode(k, mask):
     """The simplices of the classes of k whose bits are set in mask."""
-    return frozenset(s for i, cls in enumerate(_classes(k)) if mask >> i & 1 for s in cls)
+    classes, _ = _class_index(k)
+    return frozenset(s for i, cls in enumerate(classes) if mask >> i & 1 for s in cls)
 
 
 def test_slices_match_oracle_slices():
@@ -214,7 +215,7 @@ def test_class_index_matches_membership():
     # exactly those that membership puts in the stratum
     for r in CORPUS_STRATA:
         k = build(r)
-        classes, index = _classes(k), _class_index(k)
+        classes, index = _class_index(k)
         pairs = [(s, a) for s in _subsets(r.active) for a in _subsets(s)]
         assert set(index) <= set(pairs), r
         for s, a in pairs:
@@ -227,7 +228,7 @@ def test_class_index_matches_membership():
 
 def test_class_index_size_on_four_processes():
     # one key per (S, A) with A <= S <= {0,1,2,3}, 3^4 of them
-    index = _class_index(build(RoundCounter.of(1, 1, 1, 1)))
+    _, index = _class_index(build(RoundCounter.of(1, 1, 1, 1)))
     assert (len(index), sum(map(len, index.values()))) == (81, 1121)
 
 
@@ -595,6 +596,16 @@ def test_verify_diagrams_peels_each_member_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 2495
 
 
+def test_verify_diagrams_fetches_each_stratum_once_per_square(monkeypatch):
+    # (3^4 - 2^4) strata-within-strata + (3^4 - 1) ghost-forcing + 15 * 16
+    # boundary fetches: the ghost-forcing square reads X_{S,A} once for all B
+    real = decomposition.stratum
+    calls = []
+    monkeypatch.setattr(decomposition, "stratum", lambda k, sid: calls.append(sid) or real(k, sid))
+    assert verify_diagrams(RoundCounter.of(1, 1, 1, 1)).ok
+    assert len(calls) == 385
+
+
 def test_verify_diagrams_decides_membership_only_in_gamma(monkeypatch):
     # gamma's guard is the laws' one membership test: a non-member it
     # rejects counts as a broken law, so no law restates the guard
@@ -610,11 +621,11 @@ def test_verify_diagrams_decides_membership_only_in_gamma(monkeypatch):
 
 def test_stratum_rejects_members_whose_faces_lie_outside(monkeypatch):
     # a class index listing, under one (S, A), a class whose faces lie in other
-    # classes; stratum's lru_cache is bypassed, so no rigged result is kept
+    # classes; stratum keeps no cache, so no rigged result outlives the test
     k = build(RoundCounter.of(1, 1, 1))
-    classes = _classes(k)
+    classes, _ = _class_index(k)
     i = next(i for i, cls in enumerate(classes) if any(f not in cls for s in cls for f in k.facets[s]))
     sid = StratumId({0})
-    monkeypatch.setattr(decomposition, "_class_index", lambda kk: {(sid.first, sid.ghosts): [i]})
+    monkeypatch.setattr(decomposition, "_class_index", lambda kk: (classes, {(sid.first, sid.ghosts): [i]}))
     with pytest.raises(AssertionError, match=r"StratumId\(S=\[0\], A=\[\], V=\[\]\) is not boundary-closed"):
-        decomposition.stratum.__wrapped__(k, sid)
+        decomposition.stratum(k, sid)

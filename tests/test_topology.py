@@ -158,6 +158,11 @@ def test_homology_examples():
     assert homology_gf2(build(RoundCounter.of(0, 0, 0))) == BettiProfile((1, 0, 0), 1)
 
 
+def test_homology_of_the_empty_complex():
+    # the empty counter's complex is the empty simplex alone: no chain group
+    assert homology_gf2(build(RoundCounter.parse("x"))) == BettiProfile((), 0)
+
+
 def test_homology_euler_consistency():
     for values in [(1, 1), (1, 1, 1), (2, 2), (1, 1, 0)]:
         k = build(RoundCounter.of(*values))

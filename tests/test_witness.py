@@ -110,6 +110,28 @@ def test_trace_form_validation():
         trace_form({1}, set(), {1: {0}, 2: {0}})
     with pytest.raises(InvalidArgument, match="T violated"):
         trace_form({1}, set(), {1: {1}})
+    # ids and indices obey the one is_natural rule
+    for active, traces in (({-1}, {-1: {0}}), ({0}, {0: {0, 1.5}}), ({0}, {0: {0, True}}), ({True}, {True: {0}})):
+        with pytest.raises(InvalidArgument):
+            trace_form(active, (), traces)
+
+
+MALFORMED = [
+    (WitnessTable, [[1, 2]]),  # a layer of ids, not of id sets
+    (WitnessTable, [((0,), None)]),  # a G part that is not a collection
+    (WitnessTable, [(1,)]),  # a layer that is not a pair
+    (WitnessTable, [(({0},), ())]),  # an unhashable id
+    (WitnessTable.from_key, "nope"),  # a key that is not JSON
+]
+
+
+@pytest.mark.parametrize("make, arg", MALFORMED)
+def test_malformed_shapes_are_invalid_arguments(make, arg):
+    # one shape error, the one that classify reads as "shape"
+    with pytest.raises(InvalidArgument):
+        make(arg)
+    if make is WitnessTable:
+        assert classify(arg).violated == "shape"
 
 
 def test_roundtrip_exhaustive_small():
@@ -130,6 +152,18 @@ def test_derived_examples():
     assert WitnessTable([((), {0, 1})]).dim == -1
     v = WitnessTable([({0, 1}, ()), ({0}, {1})])
     assert (v.dim, v.color) == (0, 0)
+
+
+def test_color_is_none_off_dimension_zero():
+    assert WitnessTable([({0, 1}, ())]).color is None  # an edge
+    assert WitnessTable([((), {0, 1})]).color is None  # the empty simplex
+
+
+def test_trace_of_an_id_outside_the_form_is_a_key_error():
+    tf = trace_form({0}, {1}, {0: {0, 1}, 1: {0}})
+    assert (tf.trace(0), tf.trace(1)) == ({0, 1}, {0})
+    with pytest.raises(KeyError):
+        tf.trace(2)
 
 
 def test_table_holds_only_pairs_and_class():
