@@ -11,13 +11,12 @@ precisely the codimension-1 faces, one dimension at a time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidArgument, PreconditionViolation
-from .rounds import RoundCounter, is_natural, subsets
+from .rounds import RoundCounter, id_set, subsets
 from . import witness
 from .witness import WitnessTable
 
@@ -126,7 +125,7 @@ def build(r: RoundCounter) -> Complex:
 
 def boundary_subcomplex(k: Complex, ids: Iterable[int]) -> frozenset:
     """B_V: the simplices of k whose round-0 ghost set contains the given ids."""
-    v = frozenset(ids)
+    v = id_set(ids)
     if not v <= k.counter.support:
         raise PreconditionViolation(f"{sorted(v)} is not within the support")
     return frozenset(s for s in k.simplices if v <= s.g(0))
@@ -134,7 +133,7 @@ def boundary_subcomplex(k: Complex, ids: Iterable[int]) -> frozenset:
 
 def delta_v(sigma: WitnessTable, ids: Iterable[int]) -> WitnessTable:
     """Strip ids from the round-0 ghost set; inverse of re-adding them."""
-    v = frozenset(ids)
+    v = id_set(ids)
     if not v <= sigma.g(0):
         raise PreconditionViolation(f"{sorted(v)} is not within the round-0 ghost set")
     # round-0 ghosts occur in no other layer, so removing them keeps P1-P3
@@ -147,10 +146,8 @@ def delta_v(sigma: WitnessTable, ids: Iterable[int]) -> WitnessTable:
 def undelta_v(tau: WitnessTable, ids: Iterable[int]) -> WitnessTable:
     """Add ids to the round-0 ghost set; they must be new nonnegative ids
     or ghosts already, never witnessed at round 0 (P3)."""
-    v = frozenset(ids)
+    v = id_set(ids)
     w0, g0 = tau.pairs[0]
-    if not all(map(is_natural, v)):
-        raise InvalidArgument(f"process ids must be nonnegative integers: {sorted(v, key=repr)}")
     if v.intersection(w0):
         raise InvalidArgument(f"{sorted(v.intersection(w0))} is witnessed at round 0")
     # every later layer lies inside W_0, so ids outside it touch no other layer
@@ -163,8 +160,7 @@ def undelta_v(tau: WitnessTable, ids: Iterable[int]) -> WitnessTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     pure: bool
     pseudomanifold: bool
     boundary_matches: bool
@@ -234,8 +230,8 @@ def structural_checks(k: Complex) -> StructureReport:
             failures.setdefault("reconstruction_injective", f"reconstruction: {seen[vs].key} vs {s.key}")
         seen[vs] = s
 
-    checks = fields(StructureReport)[:-1]  # every field but failures
-    return StructureReport(*(f.name not in failures for f in checks), tuple(failures.items()))
+    checks = StructureReport._fields[:-1]  # every field but failures
+    return StructureReport(*(name not in failures for name in checks), tuple(failures.items()))
 
 
 def _dual_graph_adjacency(k: Complex) -> dict:
@@ -265,8 +261,7 @@ def _dual_graph_connected(k: Complex) -> bool:
     return len(seen) == len(tops)
 
 
-@dataclass(frozen=True)
-class PathReport:
+class PathReport(NamedTuple):
     ok: bool
     edges: int
     endpoints: tuple

@@ -11,6 +11,9 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable
 
+from .errors import InvalidArgument
+from .rounds import is_natural
+
 
 def f_dim1(m: int, n: int) -> int:
     """Edge count of the two-process complex, the Delannoy number D(m, n).
@@ -19,8 +22,8 @@ def f_dim1(m: int, n: int) -> int:
     The closed form sum_k C(m,k) C(n,k) 2^k needs no recursion or memo; each
     term is the previous one times 2(m-k)(n-k)/(k+1)^2, an exact division.
     """
-    if m < 0 or n < 0:
-        raise ValueError("round counts must be nonnegative")
+    if not (is_natural(m) and is_natural(n)):
+        raise InvalidArgument("round counts must be nonnegative integers")
     term = total = 1
     for k in range(min(m, n)):
         term = term * 2 * (m - k) * (n - k) // ((k + 1) * (k + 1))
@@ -35,8 +38,8 @@ def f_top(values: Iterable[int]) -> int:
     in its arguments, so memoization keys on the sorted positive multiset.
     """
     values = tuple(values)
-    if any(v < 0 for v in values):
-        raise ValueError("round counts must be nonnegative")
+    if not all(map(is_natural, values)):
+        raise InvalidArgument("round counts must be nonnegative integers")
     key = tuple(sorted(v for v in values if v > 0))
     return _f_top_sorted(key)
 

@@ -37,7 +37,7 @@ from operator import and_, or_
 from typing import Iterable
 
 from .errors import InvalidArgument, PreconditionViolation
-from .rounds import RoundCounter, id_set_text, subsets
+from .rounds import RoundCounter, id_set, id_set_text, subsets
 from .reports import CheckRecord, Report
 from . import witness
 from .complexes import Complex, boundary_subcomplex, build, delta_v, maps_faces, undelta_v
@@ -55,7 +55,7 @@ class StratumId(namedtuple("StratumId", "first ghosts round0")):
     __slots__ = ()
 
     def __new__(cls, first: Iterable[int], ghosts: Iterable[int] = (), round0: Iterable[int] = ()):
-        self = super().__new__(cls, frozenset(first), frozenset(ghosts), frozenset(round0))
+        self = super().__new__(cls, id_set(first), id_set(ghosts), id_set(round0))
         if not self.ghosts <= self.first:
             raise InvalidArgument(f"need ghosts <= first, got {self}")
         if self.round0 & self.first:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
 class CheckRecord(NamedTuple):
     """One verdict: a plain tuple, so the verifiers make tens of thousands
-    cheaply; its repr reads as a frozen dataclass's would."""
+    cheaply."""
 
     check: str
     params: str
@@ -28,8 +27,7 @@ class CheckRecord(NamedTuple):
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     records: tuple
 
     @property

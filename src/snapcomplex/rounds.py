@@ -20,6 +20,15 @@ def is_natural(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
+def id_set(ids: Iterable[int]) -> frozenset:
+    """A set of process ids as a frozenset; an id that is not ``is_natural``
+    raises ``InvalidArgument``."""
+    v = frozenset(ids)
+    if not all(map(is_natural, v)):
+        raise InvalidArgument(f"process ids must be nonnegative integers: {sorted(v, key=repr)}")
+    return v
+
+
 def id_set_text(ids: Iterable[int]) -> str:
     """A set of process ids as report text, in increasing order: ``{0,1}``."""
     return "{" + ",".join(map(str, sorted(ids))) + "}"

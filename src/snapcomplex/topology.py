@@ -24,7 +24,7 @@ independent replay validator is the arbiter of legality.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CollapseStuck, PreconditionViolation
 from .rounds import RoundCounter, id_set_text, subsets
@@ -33,14 +33,12 @@ from .decomposition import rho_sa
 from .witness import WitnessTable, keys
 
 
-@dataclass(frozen=True)
-class CollapseStep:
+class CollapseStep(NamedTuple):
     free: WitnessTable
     coface: WitnessTable
 
 
-@dataclass(frozen=True)
-class CollapseBatch:
+class CollapseBatch(NamedTuple):
     stage: int  # 0 base case, 1..3 lemma stages, 4 greedy tail
     first: tuple  # S of the stratum pair
     forced: tuple  # A of the stratum pair
@@ -48,8 +46,7 @@ class CollapseBatch:
     stop: int
 
 
-@dataclass(frozen=True)
-class CollapseSequence:
+class CollapseSequence(NamedTuple):
     steps: tuple
     residual: tuple  # surviving simplices, sorted
     batches: tuple = ()
@@ -209,8 +206,7 @@ def collapse_to_point(r: RoundCounter) -> CollapseSequence:
     return CollapseSequence(tuple(steps), residual, tuple(batches))
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     ok: bool
     failed_index: int | None = None
     reason: str | None = None
@@ -260,8 +256,7 @@ def collapse_failure(k: Complex, seq: CollapseSequence) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BettiProfile:
+class BettiProfile(NamedTuple):
     betti: tuple
     euler: int
 

@@ -40,8 +40,7 @@ immutable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvalidArgument, PreconditionViolation
 from .rounds import RoundCounter, is_natural
@@ -51,8 +50,7 @@ STABLE = "stable"
 WITNESS = "witness"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str  # "invalid" | "prestructure" | "stable" | "witness"
     violated: str | None = None  # first violated condition when invalid
 
@@ -277,8 +275,7 @@ def keys(tables) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceForm:
+class TraceForm(NamedTuple):
     """Trace presentation: active ids, ghost ids, and one trace per process."""
 
     active: frozenset

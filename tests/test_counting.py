@@ -5,6 +5,7 @@ import pytest
 
 from snapcomplex import RoundCounter, enumerate_top, f_dim1, f_top, series_check
 from snapcomplex.counting import series_coefficients
+from snapcomplex.errors import InvalidArgument
 from tests.helpers import counters_with
 
 
@@ -83,3 +84,21 @@ def test_series_examples():
     assert coeffs[(2, 2)] == 13
     assert series_check(4)
     assert sum(1 for (m, n) in coeffs if m <= 4 and n <= 4) == 25
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: f_top([1.5]),
+        lambda: f_top([True, 1]),
+        lambda: f_top(["a"]),
+        lambda: f_top([-1, 2]),
+        lambda: f_dim1(True, 2),
+        lambda: f_dim1(1.5, 2),
+        lambda: f_dim1(2, -1),
+    ],
+    ids=["float", "bool", "str", "negative", "dim1-bool", "dim1-float", "dim1-negative"],
+)
+def test_round_counts_obey_the_one_natural_rule(call):
+    with pytest.raises(InvalidArgument, match="^round counts must be nonnegative integers$"):
+        call()

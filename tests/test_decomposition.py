@@ -166,6 +166,36 @@ def test_transport_maps_reject_invalid_input():
         gamma(t, StratumId({0}))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: delta_v(V0, [True]),  # equal to 1, a round-0 ghost of V0, but no process id
+        lambda: delta_v(V0, [1.0]),
+        lambda: undelta_v(V0, [True]),
+        lambda: boundary_subcomplex(build(R11), [True]),
+        lambda: boundary_subcomplex(build(R11), [-1]),
+        lambda: StratumId({True}),
+        lambda: StratumId({0}, (), {1.0}),
+        lambda: StratumId({0}, {-1}),
+        lambda: StratumId(["a"]),
+    ],
+    ids=[
+        "delta-bool",
+        "delta-float",
+        "undelta-bool",
+        "boundary-bool",
+        "boundary-negative",
+        "first-bool",
+        "round0-float",
+        "ghosts-negative",
+        "first-str",
+    ],
+)
+def test_stratum_map_ids_obey_the_one_natural_rule(call):
+    with pytest.raises(InvalidArgument, match="^process ids must be nonnegative integers: "):
+        call()
+
+
 def _subsets(elems):
     elems = sorted(elems)
     return [frozenset(c) for n in range(len(elems) + 1) for c in combinations(elems, n)]
