@@ -26,6 +26,7 @@ def enumerate_top(r: RoundCounter) -> list:
     supp = tuple(sorted(r.support))
     tops = []
     layers = []
+    steps = {}  # live ids -> their nonempty subsets, listed once per call
 
     def rec(counts):
         live = tuple(p for p in supp if counts.get(p, 0) > 0)
@@ -33,7 +34,9 @@ def enumerate_top(r: RoundCounter) -> list:
             # sorted nonempty layers: a witness structure by construction
             tops.append(WitnessTable._trusted(((supp, ()),) + tuple((s, ()) for s in layers), witness.WITNESS))
             return
-        for step in subsets(live)[1:]:
+        if live not in steps:
+            steps[live] = subsets(live)[1:]
+        for step in steps[live]:
             for p in step:
                 counts[p] -= 1
             layers.append(step)

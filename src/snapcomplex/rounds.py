@@ -123,12 +123,12 @@ class RoundCounter:
         return RoundCounter({p: min(v, 1) for p, v in self._entries})
 
     def delete(self, ids: Iterable[int]) -> "RoundCounter":
-        dropped = frozenset(ids)
+        dropped = id_set(ids)
         return RoundCounter({p: v for p, v in self._entries if p not in dropped})
 
     def execute(self, step: Iterable[int]) -> "RoundCounter":
         """Decrement every id in ``step``; all of them must be active."""
-        step = frozenset(step)
+        step = id_set(step)
         for p in sorted(step):
             if self._map.get(p, 0) < 1:
                 raise PreconditionViolation(f"process {p} is not active, cannot execute it")
@@ -136,7 +136,7 @@ class RoundCounter:
 
     def reduce(self, step: Iterable[int], ids: Iterable[int]) -> "RoundCounter":
         """Execute ``step`` then delete ``ids``."""
-        ids = frozenset(ids)
+        ids = id_set(ids)
         if not ids <= self.support:
             raise PreconditionViolation(f"cannot reduce by {sorted(ids)}: not within the support")
         return self.execute(step).delete(ids)

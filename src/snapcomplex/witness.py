@@ -18,10 +18,14 @@ exact round-trip translation.  The three operators are the canonical form C
 layer), the stabilization st_S (ghost the set S and truncate the traces at
 the last layer that still witnesses something outside S and the ghosts), and
 ghosting Gamma_S = C . st_S, the face operator of the snapshot complexes.
-Each is written once, on the table layers and not through the trace form:
-``_stabilized`` is st_S and ``_merge_empty`` is C.  ``ghost`` runs the first
-and merges only when a W part emptied, so it makes no intermediate table;
-``ghost_one``, the face kernel of ``build``, is ``ghost`` of one process.
+Each is written once for sets, on the table layers and not through the
+trace form: ``_stabilized`` is st_S and ``_merge_empty`` is C, behind
+``stabilize``, ``canonical_form`` and ``ghost``.  ``ghost`` runs the first
+and merges only when a W part emptied, so it makes no intermediate table.
+Ghosting one process is written a second time, for ``build``'s traffic:
+``ghost_one`` is the one-process face kernel, which changes only the layers
+that hold p, or cuts the traces when p alone is witnessed last.  The tests
+hold it to the oracle ``ghost_oracle`` on every face they reach.
 The operators build their results with the trusted constructor: they are
 valid by construction.  So do the stratum transport maps of ``complexes``
 and ``decomposition``, whose results take their class from ``kind_of``, and
@@ -155,12 +159,13 @@ class WitnessTable:
         ``kind`` by construction, made and stored on first use.  Only the
         validating constructor, the three operators here
         (``canonical_form``, ``stabilize`` and ``ghost``, which wrap the
-        layers of ``_merge_empty`` and ``_stabilized``),
-        ``complexes.enumerate_top``, the stratum transport maps
-        (``decomposition.gamma``/``rho``, ``complexes.delta_v``/``undelta_v``)
-        and the join images of ``complexes.cone_check`` use it; every other
-        input goes through the validating constructor.  A new table's layers
-        are replaced by their ``_LAYERS`` objects before it is stored."""
+        layers of ``_merge_empty`` and ``_stabilized``), the one-process
+        face kernel ``ghost_one``, ``complexes.enumerate_top``, the stratum
+        transport maps (``decomposition.gamma``/``rho``,
+        ``complexes.delta_v``/``undelta_v``) and the join images of
+        ``complexes.cone_check`` use it; every other input goes through the
+        validating constructor.  A new table's layers are replaced by their
+        ``_LAYERS`` objects before it is stored."""
         self = _TABLES.get(pairs)
         if self is None:
             self = object.__new__(cls)
@@ -461,8 +466,69 @@ def ghost(sigma: WitnessTable, ghosted: Iterable[int]) -> WitnessTable:
 
 
 def ghost_one(sigma: WitnessTable, p: int) -> WitnessTable:
-    """Ghost one active process: the face of sigma opposite p."""
-    return ghost(sigma, (p,))
+    """Ghost one active process: the face of sigma opposite p, equal to
+    ``ghost(sigma, (p,))`` but written on the layers for ``build``'s traffic.
+
+    When p is not alone in the last W part, st_{p} only moves p to G at its
+    last layer l, and C at most merges layer l, if that emptied, into layer
+    l+1.  Otherwise p alone is witnessed last and the traces are cut: from
+    layer t-1 down, each layer whose W part holds only p and ghosts is
+    dropped, and p and the dropped layers' ghosts move to G at their last
+    kept layer.  A witness structure obeys P1-P3, so p is then active and
+    the cut cannot fail.
+    """
+    if sigma.classification != WITNESS:
+        raise PreconditionViolation("ghosting is only defined for witness structures")
+    layers = sigma.pairs
+    t = len(layers) - 1
+    if layers[t][0] != (p,):
+        l = t
+        while True:  # down to the last layer that holds p
+            w, g = layers[l]
+            if p in w:
+                break
+            if p in g or not l:
+                raise _not_active({p})  # a set: an unhashable p raises as in ghost
+            l -= 1
+        i = w.index(p)
+        # w[i : i + 1] keeps the id as stored; ghost layers are pairwise
+        # disjoint (P2), so a sort merges them
+        w_rest, g = w[:i] + w[i + 1 :], tuple(sorted(g + w[i : i + 1]))
+        if w_rest:
+            pairs = layers[:l] + ((w_rest, g),) + layers[l + 1 :]
+        else:
+            # W_l = {p} with l < t, and l >= 1 since W_0 = {p} would make
+            # W_t = {p}: C merges G_l into layer l+1
+            w1, g1 = layers[l + 1]
+            pairs = layers[:l] + ((w1, tuple(sorted(g + g1))),) + layers[l + 2 :]
+        return WitnessTable._trusted(pairs, WITNESS)
+    # a ghost witnessed at layer j is ghosted above it (P3), so layer j is
+    # swallowed when p and the ghosts of the layers above cover its W part;
+    # those are also the processes that move
+    moving = {p}
+    cut = t
+    while True:
+        moving.update(layers[cut][1])
+        cut -= 1
+        if cut < 0:
+            w0, g0 = layers[0]
+            return WitnessTable._trusted((((), tuple(sorted(w0 + g0))),), WITNESS)
+        if not moving.issuperset(layers[cut][0]):
+            break
+    out = list(layers[: cut + 1])
+    emptied = False
+    l = cut
+    while moving:  # each moving process is in W_0 (P1), so this ends by layer 0
+        w, g = out[l]
+        if not moving.isdisjoint(w):
+            hit = moving.intersection(w)
+            moving -= hit
+            w = tuple([q for q in w if q not in hit])
+            out[l] = (w, tuple(sorted(g + tuple(hit))))
+            emptied = emptied or not w
+        l -= 1
+    # layer `cut` keeps a witnessed process, so C has a layer to merge into
+    return WitnessTable._trusted(_merge_empty(out) if emptied else tuple(out), WITNESS)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,34 @@ def test_delete_execute_reduce_examples():
         r.reduce(set(), {7})
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda r: r.delete([True]),
+        lambda r: r.delete([1.0]),
+        lambda r: r.delete([-1]),
+        lambda r: r.execute([True]),
+        lambda r: r.execute([1.0]),
+        lambda r: r.reduce([True], ()),
+        lambda r: r.reduce((), [True]),
+    ],
+    ids=[
+        "delete True",
+        "delete 1.0",
+        "delete -1",
+        "execute True",
+        "execute 1.0",
+        "reduce step True",
+        "reduce ids True",
+    ],
+)
+def test_ids_obey_the_one_natural_rule(op):
+    # True == 1 and 1.0 == 1, so a bare set would drop or run process 1, and
+    # an id no counter can hold would be a silent no-op
+    with pytest.raises(InvalidArgument):
+        op(RoundCounter.of(1, 1, 1))
+
+
 def test_canonicalize_and_relabel():
     assert RoundCounter({0: 0, 2: 3}).canonical() == RoundCounter.of(0, 3)
     assert RoundCounter.of(1, 1).relabel({0: 1, 1: 0}) == RoundCounter.of(1, 1)

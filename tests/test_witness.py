@@ -2,6 +2,7 @@ import ast
 import copy
 import hashlib
 import pickle
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -441,17 +442,59 @@ def test_trace_count_drop_can_hit_other_ghosts():
     assert out.m_count(2) == 1
 
 
-def test_ghost_one_equals_ghost_exhaustive():
-    # the face kernel against the validated table route, on every witness
-    # structure over four processes with up to four layers; `general` counts
-    # the faces that truncate (the last W part is exactly {p})
-    general = 0
-    for sigma in all_witness_structures(universe=(0, 1, 2, 3), max_t=3):
+def _kernel_branch(sigma, p) -> str:
+    """Which branch of ``ghost_one`` the face of sigma opposite p takes, read
+    off sigma: a splice when p is not alone in the last W part, else a cut
+    at the last layer witnessing something besides p and the ghosts."""
+    layers = sigma.pairs
+    t = len(layers) - 1
+    if layers[t][0] != (p,):
+        w = next(w for w, _ in reversed(layers) if p in w)
+        return "splice" if len(w) > 1 else "splice, merge into l+1"
+    swallowed = sigma.ghost_set | {p}
+    cut = max((i for i, (w, _) in enumerate(layers) if not swallowed.issuperset(w)), default=-1)
+    if cut < 0:
+        return "cut to the empty structure"
+    return "cut at t-1" if cut == t - 1 else "cut below t-1"
+
+
+def _kernel_against_oracle(sigmas) -> Counter:
+    """Check ``ghost_one`` against the validated table route on each sigma
+    and each of its active processes, and count the branches taken."""
+    branches = Counter()
+    for sigma in sigmas:
         for p in sigma.active_set:
             got, want = ghost_one(sigma, p), ghost_oracle(sigma, {p})
             assert (got.pairs, got.classification) == (want.pairs, _classify_normalized(want.pairs).kind), (sigma, p)
-            general += sigma.pairs[-1][0] == (p,)
+            branches[_kernel_branch(sigma, p)] += 1
+    return branches
+
+
+def test_ghost_one_equals_ghost_exhaustive():
+    # the face kernel against the validated table route, through each
+    # branch, on every witness structure over four processes with up to four
+    # layers; `general` counts the faces that truncate (the last W part is
+    # exactly {p})
+    branches = _kernel_against_oracle(all_witness_structures(universe=(0, 1, 2, 3), max_t=3))
+    general = sum(n for branch, n in branches.items() if branch.startswith("cut"))
     assert general == 28620
+    assert branches == {
+        "splice": 70384,
+        "splice, merge into l+1": 6116,
+        "cut at t-1": 13668,
+        "cut below t-1": 6376,
+        "cut to the empty structure": 8576,
+    }
+    # and on every face build takes on two lattices whose tables reach t = 6
+    lattices = build(RoundCounter.of(3, 3)).simplices + build(RoundCounter.of(2, 2, 1)).simplices
+    assert max(sigma.t for sigma in lattices) == 6
+    assert _kernel_against_oracle(lattices) == {
+        "splice": 232,
+        "splice, merge into l+1": 260,
+        "cut at t-1": 197,
+        "cut below t-1": 66,
+        "cut to the empty structure": 127,
+    }
 
 
 def _precondition_message(op, *args):
@@ -545,6 +588,7 @@ TRUSTED_CALLERS = {
     "canonical_form",
     "stabilize",
     "ghost",
+    "ghost_one",
     "enumerate_top",
     "cone_check",
     "gamma",
