@@ -215,7 +215,7 @@ def rho(tau: WitnessTable, first: Iterable[int]) -> WitnessTable:
     tau (a single layer is a witness structure, and so is its extension by
     a nonempty layer 1).
     """
-    s = frozenset(first)
+    s = id_set(first)
     pairs = tau.pairs
     v0, h0 = pairs[0]
     if not s.issubset(v0 + h0):
@@ -237,7 +237,8 @@ def rho(tau: WitnessTable, first: Iterable[int]) -> WitnessTable:
 
 
 def rho_sa(tau: WitnessTable, first: Iterable[int], ghosts: Iterable[int] = ()) -> WitnessTable:
-    """Inverse of gamma for arbitrary forced ghosts: re-add A, then rho."""
+    """Inverse of gamma for arbitrary forced ghosts: re-add A, then rho.
+    A reaches the table only through ``undelta_v``, which checks its ids."""
     a = frozenset(ghosts)
     if a:
         tau = undelta_v(tau, a)

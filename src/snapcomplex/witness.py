@@ -18,14 +18,18 @@ exact round-trip translation.  The three operators are the canonical form C
 layer), the stabilization st_S (ghost the set S and truncate the traces at
 the last layer that still witnesses something outside S and the ghosts), and
 ghosting Gamma_S = C . st_S, the face operator of the snapshot complexes.
-Each is written once for sets, on the table layers and not through the
-trace form: ``_stabilized`` is st_S and ``_merge_empty`` is C, behind
-``stabilize``, ``canonical_form`` and ``ghost``.  ``ghost`` runs the first
-and merges only when a W part emptied, so it makes no intermediate table.
-Ghosting one process is written a second time, for ``build``'s traffic:
-``ghost_one`` is the one-process face kernel, which changes only the layers
-that hold p, or cuts the traces when p alone is witnessed last.  The tests
-hold it to the oracle ``ghost_oracle`` on every face they reach.
+Each is written once, on the table layers and not through the trace form:
+``_stabilized`` is st_S, one downward scan, and ``_merge_empty`` is C,
+behind ``stabilize``, ``canonical_form`` and ``ghost``.  ``_stabilized``
+raises nothing: st_S is defined for S inside the active set, and
+``stabilize`` and ``ghost`` check that precondition first.  ``ghost`` runs
+st_S and merges only when a W part emptied, so it makes no intermediate
+table.  ``ghost_one``, the one-process face kernel behind ``build``, keeps
+only a splice of its own: when p is not alone in the last W part, it
+changes the one or two layers around p's last layer, which is most of
+``build``'s calls and cheaper than the scan.  When p alone is witnessed
+last it runs ``_stabilized``.  The tests hold it to the oracle
+``ghost_oracle`` on every face they reach.
 The operators build their results with the trusted constructor: they are
 valid by construction.  So do the stratum transport maps of ``complexes``
 and ``decomposition``, whose results take their class from ``kind_of``, and
@@ -369,49 +373,51 @@ def _not_active(s: frozenset) -> PreconditionViolation:
     return PreconditionViolation(f"cannot stabilize by {sorted(s)}: not a subset of the active set")
 
 
-def _stabilized(layers: tuple, ghosted: Iterable[int]) -> tuple:
-    """st_S on the layers: the stabilized layers, and whether a W part emptied.
+def _active_subset(sigma: WitnessTable, ghosted: Iterable[int]) -> frozenset:
+    """S read once, as it may be a one-shot iterator, and checked to lie in
+    the active set, W_0 less the later G parts, without building that set."""
+    s = frozenset(ghosted)
+    layers = sigma.pairs
+    if not (s.issubset(layers[0][0]) and s.isdisjoint([q for _, g in layers[1:] for q in g])):
+        raise _not_active(s)
+    return s
 
-    The last W part holds no ghost (P3), so only an S that covers it
-    truncates.  Then S must lie in the active set, the cut is the last layer
-    whose W part is not inside S and the ghosts, and the later layers are
-    dropped; when no layer is left the result is the empty structure on the
-    same support.  Each swallowed process, S and the ghosts of the dropped
-    layers, moves from W to G at its last W layer up to the cut, found by a
-    scan from the cut down; a process of S met in a G part, or in no layer,
-    is not active.  Unchanged layers are sigma's own pair objects.
+
+def _stabilized(layers: tuple, s: Iterable[int]) -> tuple:
+    """st_S on the layers, for an S that lies inside the active set: the
+    stabilized layers, and whether a W part emptied.
+
+    While the top W part lies inside the moving processes (S at first), its
+    G part joins them and the layer is dropped: a ghost witnessed at layer j
+    is ghosted above it (P3), so S and the ghosts of the dropped layers cover
+    exactly the layers that st_S swallows.  When no layer is left the result
+    is the empty structure on the same support.  Otherwise one scan from the
+    cut down moves each moving process from W to G at the first layer that
+    witnesses it, which is its last kept occurrence; each lies in W_0 (P1), so
+    the scan ends by layer 0.  The hits are read from the stored W tuple, so
+    ids stay as stored, and unchanged layers are sigma's own pair objects.
     """
-    s = frozenset(ghosted)  # read once: ghosted may be a one-shot iterator
-    moving = s
-    if s.issuperset(layers[-1][0]):
-        ghosts = [p for _, g in layers for p in g]
-        if not (s.issubset(layers[0][0]) and s.isdisjoint(ghosts)):
-            raise _not_active(s)
-        swallowed = s.union(ghosts)
-        cut = len(layers) - 1
-        while cut >= 0 and swallowed.issuperset(layers[cut][0]):
-            cut -= 1
+    moving = set(s)
+    cut = len(layers) - 1
+    while moving.issuperset(layers[cut][0]):
+        moving.update(layers[cut][1])
+        cut -= 1
         if cut < 0:
             w0, g0 = layers[0]
             return (((), tuple(sorted(w0 + g0))),), False
-        moving = s.union(*(g for _, g in layers[cut + 1 :]))
-        layers = layers[: cut + 1]
-    out = list(layers)
+    out = list(layers[: cut + 1])
     emptied = False
-    for q in moving:
-        l = len(out)
-        while l:  # to the last layer that holds q, or layer 0
-            l -= 1
-            w, g = out[l]
-            if q in w or q in g:
-                break
-        if q not in w:
-            raise _not_active(s)
-        i = w.index(q)
-        # w[i : i + 1] keeps the id as stored; ghost layers are pairwise
-        # disjoint (P2), so a sort merges them
-        out[l] = (w[:i] + w[i + 1 :], tuple(sorted(g + w[i : i + 1])))
-        emptied = emptied or len(w) == 1
+    l = cut
+    while moving:
+        w, g = out[l]
+        if not moving.isdisjoint(w):
+            hit = moving.intersection(w)
+            moving -= hit
+            w = tuple([q for q in w if q not in hit])
+            # ghost layers are pairwise disjoint (P2), so a sort merges them
+            out[l] = (w, tuple(sorted(g + tuple(hit))))
+            emptied = emptied or not w
+        l -= 1
     return tuple(out), emptied
 
 
@@ -443,39 +449,40 @@ def canonical_form(sigma: WitnessTable) -> WitnessTable:
 
 
 def stabilize(sigma: WitnessTable, ghosted: Iterable[int]) -> WitnessTable:
-    """Ghost the set, truncating traces at the last layer not swallowed by it.
+    """st_S: ghost the set S, which must lie in the active set, and truncate
+    the traces at the last layer not swallowed by S and the ghosts.
 
-    The cut is the largest i whose W part is not contained in the new ghost
-    set; layers after it are dropped, and each swallowed process moves from
-    W to G at its last surviving layer.  When every layer is swallowed (the
-    whole active set is ghosted) the result is the empty structure on the
-    same support.
+    Layers after that cut are dropped, and each swallowed process moves from
+    W to G at its last kept layer; when every layer is swallowed (the whole
+    active set is ghosted) the result is the empty structure on the same
+    support.  S is read once, so it may be a one-shot iterator.
     """
-    layers, _ = _stabilized(sigma.pairs, ghosted)
+    layers, _ = _stabilized(sigma.pairs, _active_subset(sigma, ghosted))
     # the cut layer keeps a witnessed process, so the result is at least stable
     return WitnessTable._trusted(layers, kind_of(layers))
 
 
 def ghost(sigma: WitnessTable, ghosted: Iterable[int]) -> WitnessTable:
-    """The face operator: canonical form of the stabilization.  Sigma's
-    later W parts are nonempty, so only those that st_S empties are merged."""
+    """Gamma_S = C . st_S, the face operator, for a witness structure sigma
+    and an S inside its active set, read once.  Sigma's later W parts are
+    nonempty, so only those that st_S empties are merged."""
     if not sigma.is_witness:
         raise PreconditionViolation("ghosting is only defined for witness structures")
-    layers, emptied = _stabilized(sigma.pairs, ghosted)
+    layers, emptied = _stabilized(sigma.pairs, _active_subset(sigma, ghosted))
     return WitnessTable._trusted(_merge_empty(layers) if emptied else layers, WITNESS)
 
 
 def ghost_one(sigma: WitnessTable, p: int) -> WitnessTable:
     """Ghost one active process: the face of sigma opposite p, equal to
-    ``ghost(sigma, (p,))`` but written on the layers for ``build``'s traffic.
+    ``ghost(sigma, (p,))`` with a fast path for ``build``'s traffic.
 
     When p is not alone in the last W part, st_{p} only moves p to G at its
     last layer l, and C at most merges layer l, if that emptied, into layer
-    l+1.  Otherwise p alone is witnessed last and the traces are cut: from
-    layer t-1 down, each layer whose W part holds only p and ghosts is
-    dropped, and p and the dropped layers' ghosts move to G at their last
-    kept layer.  A witness structure obeys P1-P3, so p is then active and
-    the cut cannot fail.
+    l+1.  This splice is the measured fast path: it takes 40 564 of the
+    57 161 calls that ``build`` makes on ``2,2,2,1``, and sending every call
+    through ``_stabilized`` makes the kernel about a third slower.
+    Otherwise p alone is witnessed last, so p is active (P1, P3), and the
+    face is ``_stabilized`` followed by C when a W part emptied.
     """
     if sigma.classification != WITNESS:
         raise PreconditionViolation("ghosting is only defined for witness structures")
@@ -502,33 +509,9 @@ def ghost_one(sigma: WitnessTable, p: int) -> WitnessTable:
             w1, g1 = layers[l + 1]
             pairs = layers[:l] + ((w1, tuple(sorted(g + g1))),) + layers[l + 2 :]
         return WitnessTable._trusted(pairs, WITNESS)
-    # a ghost witnessed at layer j is ghosted above it (P3), so layer j is
-    # swallowed when p and the ghosts of the layers above cover its W part;
-    # those are also the processes that move
-    moving = {p}
-    cut = t
-    while True:
-        moving.update(layers[cut][1])
-        cut -= 1
-        if cut < 0:
-            w0, g0 = layers[0]
-            return WitnessTable._trusted((((), tuple(sorted(w0 + g0))),), WITNESS)
-        if not moving.issuperset(layers[cut][0]):
-            break
-    out = list(layers[: cut + 1])
-    emptied = False
-    l = cut
-    while moving:  # each moving process is in W_0 (P1), so this ends by layer 0
-        w, g = out[l]
-        if not moving.isdisjoint(w):
-            hit = moving.intersection(w)
-            moving -= hit
-            w = tuple([q for q in w if q not in hit])
-            out[l] = (w, tuple(sorted(g + tuple(hit))))
-            emptied = emptied or not w
-        l -= 1
-    # layer `cut` keeps a witnessed process, so C has a layer to merge into
-    return WitnessTable._trusted(_merge_empty(out) if emptied else tuple(out), WITNESS)
+    layers, emptied = _stabilized(layers, (p,))
+    # the cut layer keeps a witnessed process, so C has a layer to merge into
+    return WitnessTable._trusted(_merge_empty(layers) if emptied else layers, WITNESS)
 
 
 # ---------------------------------------------------------------------------

@@ -700,3 +700,29 @@ def test_memo_inventory():
             if callable(obj) and hasattr(obj, "cache_info"):
                 memos.add(f"{obj.__module__.removeprefix('snapcomplex.')}.{obj.__qualname__}")
     assert memos == {"complexes.build", "decomposition._class_index", "counting._f_top_sorted"}
+
+
+def test_readme_names_resolve():
+    # every backticked private name in the README is an attribute of a
+    # package module or of WitnessTable, and every backticked `module.name`
+    # of a package module is an attribute of it, so a rename cannot leave the
+    # README behind
+    import importlib
+    import pkgutil
+    import re
+    from pathlib import Path
+
+    import snapcomplex
+
+    modules = {"snapcomplex": snapcomplex}
+    for info in pkgutil.iter_modules(snapcomplex.__path__):
+        modules[info.name] = importlib.import_module(f"snapcomplex.{info.name}")
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    private = set(re.findall(r"`(_\w+)", readme))
+    qualified = {(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)", readme) if m in modules}
+    assert "_stabilized" in private and ("witness", "keys") in qualified
+    owners = [*modules.values(), WitnessTable]
+    for name in sorted(private):
+        assert any(hasattr(owner, name) for owner in owners), name
+    for module, name in sorted(qualified):
+        assert hasattr(modules[module], name), f"{module}.{name}"

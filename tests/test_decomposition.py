@@ -178,6 +178,9 @@ def test_transport_maps_reject_invalid_input():
         lambda: StratumId({0}, (), {1.0}),
         lambda: StratumId({0}, {-1}),
         lambda: StratumId(["a"]),
+        lambda: rho(V0, [True]),  # 1 is V0's round-0 ghost, so True would be re-attached
+        lambda: rho(V0, [1.0]),
+        lambda: rho_sa(V0, [True]),
     ],
     ids=[
         "delta-bool",
@@ -189,11 +192,31 @@ def test_transport_maps_reject_invalid_input():
         "round0-float",
         "ghosts-negative",
         "first-str",
+        "rho-bool",
+        "rho-float",
+        "rho_sa-first-bool",
     ],
 )
 def test_stratum_map_ids_obey_the_one_natural_rule(call):
     with pytest.raises(InvalidArgument, match="^process ids must be nonnegative integers: "):
         call()
+
+
+def test_rejected_stratum_map_stores_no_table_or_layer():
+    # the intern tables key on equal values, so a stored (0, True) layer would
+    # stand for (0, 1) in every later table of the process
+    from snapcomplex.witness import _LAYERS, _TABLES
+
+    before = len(_TABLES), len(_LAYERS)
+    for call in (
+        lambda: rho(V0, [True]),
+        lambda: rho(V0, [1.0]),
+        lambda: rho_sa(V0, [True]),
+        lambda: rho_sa(V0, [0], [True]),
+    ):
+        with pytest.raises(InvalidArgument):
+            call()
+        assert (len(_TABLES), len(_LAYERS)) == before
 
 
 def _subsets(elems):

@@ -497,6 +497,38 @@ def test_ghost_one_equals_ghost_exhaustive():
     }
 
 
+def test_set_operators_equal_oracles_on_deep_tables():
+    # the set operators on every simplex of two lattices whose tables reach
+    # t = 6, for every S inside the active set with |S| >= 2 (the one-process
+    # faces are the kernel test's)
+    lattices = build(RoundCounter.of(3, 3)).simplices + build(RoundCounter.of(2, 2, 1)).simplices
+    cases = 0
+    for sigma in lattices:
+        for s in subsets(sigma.active_set):
+            if len(s) >= 2:
+                assert ghost(sigma, s) == ghost_oracle(sigma, s), (sigma, s)
+                assert stabilize(sigma, s) == stabilize_via_table(sigma, s), (sigma, s)
+                cases += 1
+    assert cases == 630
+
+
+def test_set_operators_keep_ids_as_stored():
+    # an S id equal to a stored id (True or 1.0 for 1) selects that process,
+    # and the result holds the stored id
+    calls = Counter()
+    for sigma in SMALL:
+        if 1 in sigma.active_set:
+            for op in (stabilize, ghost) if sigma.is_witness else (stabilize,):
+                want = op(sigma, [1])
+                for alias in (True, 1.0):
+                    got = op(sigma, [alias])
+                    assert got is want, (op, sigma, alias)
+                    assert "True" not in got.key and "." not in got.key
+                calls[op.__name__, got.t < sigma.t] += 1
+    # both operators, on results with fewer layers than sigma and with as many
+    assert len(calls) == 4
+
+
 def _precondition_message(op, *args):
     try:
         op(*args)
