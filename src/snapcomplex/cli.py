@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
 from functools import cache
 from operator import attrgetter
 
@@ -62,13 +61,18 @@ _ok = attrgetter("ok")
 _law = "{0.check} {0.params}".format  # a failed record shown as its law and parameters
 
 
-def _collapse(r, _):
+def _collapse_run(r):
+    """(sequence, verdict) of one collapse of r to a point: the verdict is
+    ``topology.collapse_failure``, None when it holds; a stuck greedy tail
+    gives no sequence and its message.  The build runs first, through the
+    ``complexes.build`` attribute, so a wrapper of it times the build apart
+    from the collapse."""
     k = complexes.build(r)
     try:
         seq = topology.collapse_to_point(r)
     except CollapseStuck as exc:
-        return str(exc)
-    return topology.collapse_failure(k, seq)
+        return None, str(exc)
+    return seq, topology.collapse_failure(k, seq)
 
 
 def _homology(r, _):
@@ -99,7 +103,7 @@ CHECKS = {
     "diagrams": (None, lambda r, _: _first_failure(decomposition.verify_diagrams(r).records, _ok, _law)),
     "partition": (None, lambda r, _: _first_failure(
         decomposition.strata_partition(complexes.build(r)).records, _ok, attrgetter("params"))),
-    "collapse": (None, _collapse),
+    "collapse": (None, lambda r, _: _collapse_run(r)[1]),
     "homology": (None, _homology),
     "chromatic": (lambda r: None if complexes.is_zero_one(r) else "counter is not 0/1-valued",
                   lambda r, _: None if complexes.chromatic_check(r) else "simplex sets differ"),
@@ -134,6 +138,20 @@ def cmd_verify(r: RoundCounter, args) -> int:
     return 0 if all(rec.ok for rec in records) else 1
 
 
+def _deliver(args, write, summary=None) -> None:
+    """The one artifact rule: ``--out`` gets the artifact and stdout the
+    summary; otherwise a format other than text puts the artifact on stdout;
+    otherwise stdout gets the summary.  ``write(fh)`` writes the artifact."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write(fh)
+    elif args.format != "text":
+        write(sys.stdout)
+        return
+    if summary is not None:
+        print(summary)
+
+
 def _write_json(k, fh) -> None:
     """Write the complex's JSON and a newline, piece by piece."""
     fh.writelines(complexes.complex_json_pieces(k))
@@ -142,15 +160,9 @@ def _write_json(k, fh) -> None:
 
 def cmd_build(r: RoundCounter, args) -> int:
     k = complexes.build(r)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write_json(k, fh)
-    elif args.format == "json":
-        _write_json(k, sys.stdout)
-        return 0
-    print(f"counter={r.text()}")
-    print("f_vector=" + ",".join(str(n) for n in k.f_vector))
-    print(f"simplices={len(k.simplices)} tops={len(k.tops)} dim={k.dim}")
+    summary = (f"counter={r.text()}\nf_vector={','.join(map(str, k.f_vector))}\n"
+               f"simplices={len(k.simplices)} tops={len(k.tops)} dim={k.dim}")
+    _deliver(args, lambda fh: _write_json(k, fh), summary)
     return 0
 
 
@@ -168,20 +180,10 @@ def cmd_count(r: RoundCounter, args) -> int:
 
 
 def cmd_collapse(r: RoundCounter, args) -> int:
-    k = complexes.build(r)
-    try:
-        seq = topology.collapse_to_point(r)
-    except CollapseStuck as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    bad = topology.collapse_failure(k, seq)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(seq.to_json() + "\n")
-    if args.format == "json" and not args.out:
-        print(seq.to_json())
-    else:
-        print(f"steps={len(seq.steps)} residual={len(seq.residual)} valid={str(bad is None).lower()}")
+    seq, bad = _collapse_run(r)
+    if seq is not None:
+        _deliver(args, lambda fh: fh.write(seq.to_json() + "\n"),
+                 f"steps={len(seq.steps)} residual={len(seq.residual)} valid={str(bad is None).lower()}")
     if bad is not None:
         print(f"error: {bad}", file=sys.stderr)
     return 0 if bad is None else 1
@@ -189,11 +191,8 @@ def cmd_collapse(r: RoundCounter, args) -> int:
 
 def cmd_export(r: RoundCounter, args) -> int:
     k = complexes.build(r)
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        if args.format == "dot":
-            fh.write(complexes.complex_to_dot(k))
-        else:
-            _write_json(k, fh)
+    dot = args.format == "dot"
+    _deliver(args, lambda fh: fh.write(complexes.complex_to_dot(k)) if dot else _write_json(k, fh))
     return 0
 
 

@@ -394,11 +394,14 @@ def complex_json_pieces(k: Complex):
     """The JSON of k in pieces, one per simplex, which the CLI writes as
     they come: the bytes of ``json.dumps(..., sort_keys=True,
     separators=(",", ":"))`` on {"counter", "f_vector", "simplices":
-    [{"dim", "facets", "key"}, ...], "tops"}.  Keys from ``witness.keys``
-    hold only digits, brackets and commas, so they need no escaping.  They
-    are made one level at a time: the facets of a level-d simplex lie in
-    level d-1 and the tops are the last level, so only the keys of two
-    adjacent levels are held at once."""
+    [{"dim", "facets", "key"}, ...], "tops"}.  This is the package's one
+    JSON written by hand as text: ``build`` and ``export`` write it for
+    lattices of tens of thousands of simplices, where ``json.dumps`` would
+    first hold the whole object tree.  Keys from ``witness.keys`` hold only
+    digits, brackets and commas, so they need no escaping.  They are made
+    one level at a time: the facets of a level-d simplex lie in level d-1
+    and the tops are the last level, so only the keys of two adjacent
+    levels are held at once."""
     head = json.dumps({**k.counter.to_json_obj(), "f_vector": list(k.f_vector)}, sort_keys=True, separators=(",", ":"))
     yield head[:-1] + ',"simplices":['
     sep = ""

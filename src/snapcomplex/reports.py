@@ -15,16 +15,8 @@ class CheckRecord(NamedTuple):
     ok: bool
     counterexample: str | None = None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "ok": self.ok,
-            "counterexample": self.counterexample,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
 
 
 class Report(NamedTuple):

@@ -24,11 +24,12 @@ independent replay validator is the arbiter of legality.
 from __future__ import annotations
 
 import heapq
+import json
 from typing import NamedTuple
 
 from .errors import CollapseStuck, PreconditionViolation
 from .rounds import RoundCounter, id_set_text, subsets
-from .complexes import Complex, _key_list, build
+from .complexes import Complex, build
 from .decomposition import rho_sa
 from .witness import WitnessTable, keys
 
@@ -67,17 +68,15 @@ class CollapseSequence(NamedTuple):
         return f"step {index}"
 
     def to_json(self) -> str:
-        """The bytes of ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
-        on {"residual": [key, ...], "steps": [{"coface", "free"}, ...]}, written
-        as text like ``complexes.complex_to_json``: keys need no escaping."""
+        """{"residual": [key, ...], "steps": [{"coface", "free"}, ...]} over
+        ``witness.keys``, by ``json.dumps(..., sort_keys=True,
+        separators=(",", ":"))``.  Only ``collapse --format json`` and
+        ``collapse --out`` write it, so it is not worth writing by hand, as
+        ``complexes.complex_json_pieces`` is."""
         key = keys([t for s in self.steps for t in (s.free, s.coface)] + list(self.residual))
-        parts = ['{"residual":', _key_list(key, self.residual), ',"steps":[']
-        sep = ""
-        for s in self.steps:
-            parts.append(f'{sep}{{"coface":"{key[s.coface]}","free":"{key[s.free]}"}}')
-            sep = ","
-        parts.append("]}")
-        return "".join(parts)
+        steps = [{"coface": key[s.coface], "free": key[s.free]} for s in self.steps]
+        doc = {"residual": [key[s] for s in self.residual], "steps": steps}
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _collapse_plan(r: RoundCounter, p: int, memo: dict):

@@ -484,10 +484,24 @@ def greedy_tail_oracle(k, survivors) -> list:
     return steps
 
 
-def betti_of_simplex_set(simplices) -> tuple:
-    """Mod-2 Betti numbers of an arbitrary downward-closed simplex set."""
-    from snapcomplex.topology import gf2_rank
+def gf2_rank_low_pivot(rows) -> int:
+    """Rank of GF(2) row vectors packed as integers, eliminating on the
+    lowest set bit: an elimination of its own, not ``topology.gf2_rank``'s
+    highest-bit one, so a rank bug there cannot hide in the oracle."""
+    pivots = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            if low not in pivots:
+                pivots[low] = row
+                break
+            row ^= pivots[low]
+    return len(pivots)
 
+
+def betti_of_simplex_set(simplices) -> tuple:
+    """Mod-2 Betti numbers of an arbitrary downward-closed simplex set, with
+    faces by ``ghost`` and ranks by ``gf2_rank_low_pivot``."""
     members = set(simplices)
     by_dim = {}
     for s in members:
@@ -508,7 +522,7 @@ def betti_of_simplex_set(simplices) -> tuple:
                 if f.dim >= 0:
                     mask |= 1 << index[f]
             rows.append(mask)
-        ranks[d] = gf2_rank(rows)
+        ranks[d] = gf2_rank_low_pivot(rows)
     return tuple(
         len(by_dim.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d in range(top + 1)
     )

@@ -219,6 +219,55 @@ def test_export_formats(capsys):
     assert json.loads(out)["f_vector"] == [1, 4, 3]
 
 
+# sha256 of each artifact of 1,1, with its final newline
+ARTIFACT_SHA256 = {
+    "complex": "b28684dbe1c823b99365f2458c0446246b26cad43ffcb311d27d21c98b04ebff",
+    "collapse": "ba6c244ed8539dbd2b9f640ff3dd837f702242ddacc56e89e90a8afad18297ba",
+    "dot": "db217dc4dd58acfbd7eb8698b0b9f89ec47de3cc869e0ee5f5792e6c72bea2c1",
+}
+SUMMARY = {
+    "build": "counter=1,1\nf_vector=1,4,3\nsimplices=8 tops=3 dim=1\n",
+    "collapse": "steps=3 residual=2 valid=true\n",
+}
+# (command, --format, --out given) -> (what stdout holds, what the file holds):
+# --out gets the artifact and stdout the summary; otherwise a format other
+# than text puts the artifact on stdout; otherwise stdout gets the summary
+ARTIFACT_ROUTES = [
+    ("build", "text", False, "summary", None),
+    ("build", "json", False, "complex", None),
+    ("build", "text", True, "summary", "complex"),
+    ("build", "json", True, "summary", "complex"),
+    ("collapse", "text", False, "summary", None),
+    ("collapse", "json", False, "collapse", None),
+    ("collapse", "text", True, "summary", "collapse"),
+    ("collapse", "json", True, "summary", "collapse"),
+    ("export", "json", False, "complex", None),
+    ("export", "dot", False, "dot", None),
+    ("export", "json", True, None, "complex"),
+    ("export", "dot", True, None, "dot"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, fmt, to_file, stdout, artifact",
+    ARTIFACT_ROUTES,
+    ids=[f"{c}-{f}-{'out' if o else 'stdout'}" for c, f, o, _, _ in ARTIFACT_ROUTES],
+)
+def test_where_each_artifact_goes(command, fmt, to_file, stdout, artifact, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, "--counter", "1,1", "--format", fmt, *(["--out", "F"] if to_file else []))
+    assert (code, err) == (0, "")
+    if stdout in ARTIFACT_SHA256:
+        assert hashlib.sha256(out.encode()).hexdigest() == ARTIFACT_SHA256[stdout]
+    else:
+        assert out == (SUMMARY[command] if stdout == "summary" else "")
+    if artifact is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert [f.name for f in tmp_path.iterdir()] == ["F"]
+        assert hashlib.sha256((tmp_path / "F").read_bytes()).hexdigest() == ARTIFACT_SHA256[artifact]
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "verify", "--counter", "1,1", "--format", "json")
     _, second, _ = run(capsys, "verify", "--counter", "1,1", "--format", "json")

@@ -15,6 +15,7 @@ from snapcomplex import (
     validate_collapse,
 )
 from snapcomplex import topology
+from snapcomplex.complexes import Complex
 from snapcomplex.errors import CollapseStuck, PreconditionViolation
 from snapcomplex.topology import CollapseBatch, CollapseStep, ValidationResult, gf2_rank
 from tests.helpers import (
@@ -161,6 +162,40 @@ def test_homology_examples():
 def test_homology_of_the_empty_complex():
     # the empty counter's complex is the empty simplex alone: no chain group
     assert homology_gf2(build(RoundCounter.parse("x"))) == BettiProfile((), 0)
+
+
+def _restricted(k, keep):
+    """The subcomplex of k on the simplices that ``keep(simplex, dim)``
+    accepts, which must be closed under faces."""
+    levels = tuple(tuple(s for s in level if keep(s, d)) for d, level in k.by_dim.items())
+    members = {s for level in levels for s in level}
+    cofacets = {s: tuple(c for c in k.cofacets[s] if c in members) for s in members}
+    return Complex(k.counter, levels, {s: k.facets[s] for s in members}, cofacets)
+
+
+def _boundary(s, d):
+    return d < 0 or bool(s.g(0))
+
+
+@pytest.mark.parametrize(
+    "values, keep, betti",
+    [
+        ((1, 1, 1), _boundary, (1, 1, 0)),
+        ((2, 2, 1), _boundary, (1, 1, 0)),
+        ((1, 1, 1, 1), _boundary, (1, 0, 1, 0)),
+        ((1, 1, 1), lambda s, d: d <= 1, (1, 13, 0)),
+    ],
+    ids=["boundary-111", "boundary-221", "boundary-1111", "skeleton1-111"],
+)
+def test_homology_of_subcomplexes_that_are_not_acyclic(values, keep, betti):
+    # the boundary {G_0 != {}} of a complex is a sphere; the 1-skeleton of
+    # 1,1,1 is a graph with 12 vertices and 24 edges
+    k = _restricted(build(RoundCounter.of(*values)), keep)
+    prof = homology_gf2(k)
+    assert prof.betti == betti
+    oracle = betti_of_simplex_set(k.simplices)
+    assert prof.betti == oracle + (0,) * (len(betti) - len(oracle))
+    assert prof.euler == k.euler == sum((-1) ** i * b for i, b in enumerate(betti))
 
 
 def test_homology_euler_consistency():

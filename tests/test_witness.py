@@ -657,3 +657,12 @@ def test_trusted_constructor_only_in_allowlisted_functions():
             assert owner in TRUSTED_CALLERS, f"{path.name}:{line} uses WitnessTable._trusted"
             owners.add(owner)
     assert owners == TRUSTED_CALLERS
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    # a module's _names are its own; WitnessTable._trusted has its allowlist above
+    for path in sorted(Path(snapcomplex.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{path.name}:{node.lineno} imports {private} from {node.module}"
