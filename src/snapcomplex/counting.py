@@ -70,8 +70,12 @@ def series_coefficients(order: int) -> dict:
     """Exact coefficients of 1/(1-x-y-xy) on the grid m,n <= order.
 
     Expanded as the geometric series of x+y+xy by iterated polynomial
-    multiplication with integer coefficients; no recursion involved.
+    multiplication with integer coefficients; no recursion involved.  The
+    order is the largest round count on the grid, so one that is not
+    ``is_natural`` raises ``InvalidArgument``.
     """
+    if not is_natural(order):
+        raise InvalidArgument("round counts must be nonnegative integers")
     base = {(1, 0): 1, (0, 1): 1, (1, 1): 1}
     out = {(0, 0): 1}
     power = {(0, 0): 1}
@@ -85,7 +89,8 @@ def series_coefficients(order: int) -> dict:
 
 
 def series_check(order: int) -> bool:
-    """Every grid coefficient of the generating function equals the recursion."""
+    """Every grid coefficient of the generating function equals the recursion;
+    the order is read by ``series_coefficients``."""
     coeffs = series_coefficients(order)
     for m in range(order + 1):
         for n in range(order + 1):

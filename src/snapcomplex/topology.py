@@ -18,7 +18,8 @@ the batches run in never-decreasing |A| order.  The recursion meets the same
 memoizes each plan and transports it once.  ``collapse_to_point`` finishes
 with a greedy tail that keeps a count of surviving cofacets and a heap of
 free faces in key order, re-checking only faces of each removed pair.  An
-independent replay validator is the arbiter of legality.
+independent replay validator is the arbiter of legality.  ``homology_gf2``
+ranks the boundary matrices by one sparse reduction with clearing.
 """
 
 from __future__ import annotations
@@ -260,46 +261,42 @@ class BettiProfile(NamedTuple):
     euler: int
 
 
-def gf2_rank(rows) -> int:
-    """Rank of a set of GF(2) row vectors packed as integers."""
-    pivots: dict = {}
-    rank = 0
-    for row in rows:
-        while row:
-            lead = row.bit_length()
-            if lead in pivots:
-                row ^= pivots[lead]
-            else:
-                pivots[lead] = row
-                rank += 1
-                break
-    return rank
-
-
 def homology_gf2(k: Complex) -> BettiProfile:
     """Non-reduced mod-2 Betti numbers from the facet incidences.
 
     The empty simplex is excluded from the chain groups, so b_0 counts
-    connected components.
+    connected components.  Each simplex is its position in ``k.by_dim[d]``,
+    and the row of a d-simplex is the set of its facets' positions, led by
+    the largest.  The boundary matrices are reduced from the top dimension
+    down, each by one dict from lead to reduced row: a row is XORed with the
+    stored row of its lead until its lead is new or the row is empty, and
+    rank_d is the number of stored rows.
+
+    Clearing skips every d-simplex that led a reduced row of ∂_{d+1}.  This
+    is exact: the reduced rows of ∂_{d+1} together with the unit vectors of
+    the d-simplices that are not leads form a basis of C_d, and ∂_d kills
+    the reduced rows, so the other d-simplices' rows span im ∂_d.  That holds
+    for any echelon reduction, whatever its order.
     """
     n = k.dim
     if n < 0:
         return BettiProfile((), 0)
-    index = {}
-    for d in range(n + 1):
-        for i, s in enumerate(k.by_dim.get(d, ())):
-            index[s] = i
     ranks = {}
-    for d in range(1, n + 1):
-        rows = []
-        for s in k.by_dim.get(d, ()):
-            mask = 0
-            for f in k.facets[s]:
-                mask |= 1 << index[f]
-            rows.append(mask)
-        ranks[d] = gf2_rank(rows)
-    betti = []
-    for d in range(n + 1):
-        nd = len(k.by_dim.get(d, ()))
-        betti.append(nd - ranks.get(d, 0) - ranks.get(d + 1, 0))
-    return BettiProfile(tuple(betti), k.euler)
+    leads = ()  # positions in by_dim[d] of the leads of ∂_{d+1}
+    for d in range(n, 0, -1):
+        pos = {f: i for i, f in enumerate(k.by_dim[d - 1])}
+        pivots = {}
+        for j, s in enumerate(k.by_dim[d]):
+            if j in leads:
+                continue
+            row = {pos[f] for f in k.facets[s]}
+            while row:
+                lead = max(row)
+                if lead not in pivots:
+                    pivots[lead] = row
+                    break
+                row ^= pivots[lead]
+        ranks[d] = len(pivots)
+        leads = set(pivots)
+    betti = tuple(len(k.by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d in range(n + 1))
+    return BettiProfile(betti, k.euler)

@@ -486,8 +486,9 @@ def greedy_tail_oracle(k, survivors) -> list:
 
 def gf2_rank_low_pivot(rows) -> int:
     """Rank of GF(2) row vectors packed as integers, eliminating on the
-    lowest set bit: an elimination of its own, not ``topology.gf2_rank``'s
-    highest-bit one, so a rank bug there cannot hide in the oracle."""
+    lowest set bit: an elimination of its own, not ``topology.homology_gf2``'s
+    sparse one led by the largest position, so a rank bug there cannot hide
+    in the oracle."""
     pivots = {}
     for row in rows:
         while row:

@@ -455,6 +455,33 @@ def test_verify_and_lattice_vertex_sets_on_large_counters():
         assert all(vertex_set(k, verts[s]) == vertices(s) for s in k.simplices), values
 
 
+# runs cli.main in the child and reports that child's own peak resident set
+_PEAK_CHILD = """
+import sys
+from snapcomplex.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line for line in status if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.slow
+def test_verify_fits_seven_processes():
+    # 783 890 simplices; boundary rows packed into ints took homology to about 6 GB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    checks = "pure,pseudo,connected,reconstruction,homology"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, "verify", "--counter", "1,1,1,1,1,1,1", "--checks", checks],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+    assert proc.stdout == "".join(f"{c}: ok (1,1,1,1,1,1,1)\n" for c in checks.split(","))
+    peak_kb = int(proc.stderr.split()[-2])
+    assert peak_kb < 1024 * 1024, f"peak {peak_kb} kB"
+
+
 def _rig_pseudo(monkeypatch):
     from snapcomplex import complexes
 

@@ -96,8 +96,18 @@ def test_series_examples():
         lambda: f_dim1(True, 2),
         lambda: f_dim1(1.5, 2),
         lambda: f_dim1(2, -1),
+        lambda: series_check(-1),
+        lambda: series_check(True),
+        lambda: series_check(1.5),
+        lambda: series_coefficients(-1),
+        lambda: series_coefficients(True),
+        lambda: series_coefficients(1.5),
     ],
-    ids=["float", "bool", "str", "negative", "dim1-bool", "dim1-float", "dim1-negative"],
+    ids=[
+        "float", "bool", "str", "negative", "dim1-bool", "dim1-float", "dim1-negative",
+        "series-negative", "series-bool", "series-float",
+        "coefficients-negative", "coefficients-bool", "coefficients-float",
+    ],
 )
 def test_round_counts_obey_the_one_natural_rule(call):
     with pytest.raises(InvalidArgument, match="^round counts must be nonnegative integers$"):

@@ -17,14 +17,16 @@ from snapcomplex import (
 from snapcomplex import topology
 from snapcomplex.complexes import Complex
 from snapcomplex.errors import CollapseStuck, PreconditionViolation
-from snapcomplex.topology import CollapseBatch, CollapseStep, ValidationResult, gf2_rank
+from snapcomplex.topology import CollapseBatch, CollapseStep, ValidationResult
 from tests.helpers import (
     betti_of_simplex_set,
     collapse_json_oracle,
     collapse_plan_oracle,
     counters_with,
+    gf2_rank_low_pivot,
     greedy_tail_oracle,
 )
+from tests.test_complexes import CORPUS_STRUCT
 
 
 def test_collapse_pair_two_process():
@@ -147,10 +149,18 @@ def test_collapse_matches_step_count_formula():
         assert sorted(s.dim for s in seq.residual) == [-1, 0]
 
 
-def test_gf2_rank():
-    assert gf2_rank([]) == 0
-    assert gf2_rank([0b101, 0b011, 0b110]) == 2
-    assert gf2_rank([0b1, 0b10, 0b100]) == 3
+def test_gf2_rank_low_pivot():
+    # the oracle's own elimination, which the homology oracle ranks by
+    assert gf2_rank_low_pivot([]) == 0
+    assert gf2_rank_low_pivot([0b101, 0b011, 0b110]) == 2
+    assert gf2_rank_low_pivot([0b1, 0b10, 0b100]) == 3
+
+
+def test_homology_matches_the_ghosting_oracle():
+    for r in CORPUS_STRUCT:
+        k = build(r)
+        oracle = betti_of_simplex_set(k.simplices)
+        assert homology_gf2(k).betti == oracle + (0,) * (k.dim + 1 - len(oracle)), r
 
 
 def test_homology_examples():

@@ -666,3 +666,26 @@ def test_no_private_name_crosses_a_module_boundary():
             if isinstance(node, ast.ImportFrom):
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, f"{path.name}:{node.lineno} imports {private} from {node.module}"
+
+
+def _names(node) -> Counter:
+    """How often each name appears below node, as a name, an attribute or an imported alias."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name] += 1
+    return out
+
+
+def test_no_dead_function_or_class():
+    # every top-level function or class is exported or named outside its own body
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in Path(snapcomplex.__file__).parent.glob("*.py")}
+    named = sum(map(_names, trees.values()), Counter())
+    for file, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in snapcomplex.__all__:
+                assert named[node.name] > _names(node)[node.name], f"{file}:{node.lineno} {node.name} is named nowhere else"
