@@ -11,7 +11,7 @@ precisely the codimension-1 faces, one dimension at a time.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -54,15 +54,30 @@ class Complex:
 
     ``levels`` holds one tuple per dimension, from -1 up to ``dim``, each
     sorted by pairs, as ``build`` walks them; ``by_dim``, ``simplices`` (in
-    (dim, pairs) order) and ``tops`` are read off them."""
+    (dim, pairs) order) and ``tops`` are read off them.  ``facets`` is the
+    one stored adjacency; ``cofacets`` is derived from it on first read."""
 
-    def __init__(self, counter, levels, facets, cofacets):
+    def __init__(self, counter, levels, facets):
         self.counter = counter
         self.by_dim = dict(enumerate(levels, -1))
         self.simplices = tuple(s for level in levels for s in level)
         self.tops = levels[-1]
         self.facets = facets  # simplex -> sorted tuple of codim-1 faces
-        self.cofacets = cofacets  # simplex -> sorted tuple of codim-1 cofaces
+
+    @cached_property
+    def cofacets(self) -> dict:
+        """simplex -> sorted tuple of codim-1 cofaces: ``facets`` inverted
+        one level at a time, from the tops down, so only one level's lists
+        are live at once.  A level is walked in pairs order, so every tuple
+        comes out sorted."""
+        cof = {s: () for s in self.tops}
+        for d in range(self.dim, -1, -1):
+            below = {f: [] for f in self.by_dim[d - 1]}
+            for s in self.by_dim[d]:
+                for f in self.facets[s]:
+                    below[f].append(s)
+            cof.update((f, tuple(c)) for f, c in below.items())
+        return cof
 
     @property
     def dim(self) -> int:
@@ -89,36 +104,25 @@ def build(r: RoundCounter) -> Complex:
     walked one dimension at a time.
 
     The tops, sorted by pairs, are level n.  Each face of a level-d simplex
-    lies in level d-1, so a level's new faces, sorted by pairs, are the next
-    level, and the levels joined from dimension -1 up are the simplices in
-    (dim, pairs) order.  Tables are interned, so each face is the one object
-    of its pairs, and a face is new exactly when it has no cofacet list yet;
-    the simplex it came from is appended to that list in the same pass: a
-    level is walked in pairs order, so every cofacet list comes out sorted.
+    lies in level d-1, so a level's faces, gathered in a set and sorted by
+    pairs, are the next level, and the levels joined from dimension -1 up
+    are the simplices in (dim, pairs) order.  Tables are interned, so each
+    face is the one object of its pairs.
     """
     ghost_one = witness.ghost_one  # the module attribute, which the tracer wraps
     by_pairs = attrgetter("pairs")
     level = tuple(sorted(enumerate_top(r), key=by_pairs))
     levels = []
     facets = {}
-    cofacets = {s: [] for s in level}
     while level:
         levels.append(level)
-        new = []  # the faces of this level met for the first time
+        below = set()
         for sigma in level:
-            faces = sorted([ghost_one(sigma, p) for p in sigma.active_set], key=by_pairs)
-            for tau in faces:
-                cof = cofacets.get(tau)
-                if cof is None:
-                    cofacets[tau] = [sigma]
-                    new.append(tau)
-                else:
-                    cof.append(sigma)
-            facets[sigma] = tuple(faces)
-        level = tuple(sorted(new, key=by_pairs))
-    for s, cof in cofacets.items():
-        cofacets[s] = tuple(cof)
-    return Complex(r, levels[::-1], facets, cofacets)
+            faces = tuple(sorted([ghost_one(sigma, p) for p in sigma.active_set], key=by_pairs))
+            below.update(faces)
+            facets[sigma] = faces
+        level = tuple(sorted(below, key=by_pairs))
+    return Complex(r, levels[::-1], facets)
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +253,17 @@ def _dual_graph_adjacency(k: Complex) -> dict:
 
 
 def _dual_graph_connected(k: Complex) -> bool:
-    tops = k.tops
-    if len(tops) <= 1:
-        return True
-    adj = _dual_graph_adjacency(k)
-    seen = {tops[0]}
-    frontier = [tops[0]]
+    """Search the dual graph from the first top, walking the lattice: from
+    a top through its facets, the ridges, to their cofacets."""
+    seen = {k.tops[0]}
+    frontier = [k.tops[0]]
     while frontier:
-        cur = frontier.pop()
-        for nb in adj[cur]:
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    return len(seen) == len(tops)
+        for ridge in k.facets[frontier.pop()]:
+            for nb in k.cofacets[ridge]:
+                if nb not in seen:
+                    seen.add(nb)
+                    frontier.append(nb)
+    return len(seen) == len(k.tops)
 
 
 class PathReport(NamedTuple):

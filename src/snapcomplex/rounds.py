@@ -67,10 +67,6 @@ class RoundCounter:
 
     # -- plain accessors -------------------------------------------------
 
-    @property
-    def entries(self) -> tuple[tuple[int, int], ...]:
-        return self._entries
-
     def __getitem__(self, pid: int) -> int:
         return self._map[pid]
 

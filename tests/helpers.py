@@ -221,11 +221,11 @@ def has_face(sigma: WitnessTable, tau: WitnessTable) -> bool:
     return ghost(sigma, sigma.active_set - tau.active_set) == tau
 
 
-def build_oracle(r: RoundCounter) -> Complex:
+def build_oracle(r: RoundCounter) -> tuple:
     """Depth-first closure of the executions under ``ghost(sigma, (p,))``,
     each face queued once through one seen set (tables are interned, so a
-    face is its one object), sorted once by (dim, pairs), and the cofacets
-    inverted from the facets afterwards."""
+    face is its one object), sorted once by (dim, pairs): the complex, and
+    its cofacets inverted from the facets afterwards and sorted."""
     tops = sorted(enumerate_top(r), key=lambda s: s.pairs)
     facets = {}
     queue = list(tops)
@@ -245,7 +245,7 @@ def build_oracle(r: RoundCounter) -> Complex:
             cofacets[tau].append(sigma)
     cofacets = {s: tuple(sorted(cof, key=lambda x: x.pairs)) for s, cof in cofacets.items()}
     levels = tuple(tuple(s for s in simplices if s.dim == d) for d in range(-1, len(r.support)))
-    return Complex(r, levels, facets, cofacets)
+    return Complex(r, levels, facets), cofacets
 
 
 def levels_with(k, extra) -> tuple:
@@ -254,11 +254,12 @@ def levels_with(k, extra) -> tuple:
 
 
 def without_second_coface(k) -> tuple:
-    """k with the second coface of its first interior ridge dropped from that
-    ridge's cofacets, and the ridge."""
+    """k with its first interior ridge dropped from the facets of that
+    ridge's second coface, and the ridge."""
     ridge = next(s for s in k.by_dim[k.dim - 1] if len(k.cofacets[s]) == 2)
-    cofacets = {**k.cofacets, ridge: k.cofacets[ridge][:1]}
-    return Complex(k.counter, tuple(k.by_dim.values()), k.facets, cofacets), ridge
+    second = k.cofacets[ridge][1]
+    facets = {**k.facets, second: tuple(f for f in k.facets[second] if f is not ridge)}
+    return Complex(k.counter, tuple(k.by_dim.values()), facets), ridge
 
 
 def complex_json_oracle(k) -> str:

@@ -308,8 +308,8 @@ def test_each_structural_check_shows_its_own_counterexample(capsys, monkeypatch)
     from snapcomplex import complexes
 
     k = complexes.build(RoundCounter.of(1, 1))
-    twin = k.tops[0]
-    rigged = complexes.Complex(k.counter, levels_with(k, twin), k.facets, k.cofacets)
+    twin = k.by_dim[0][0]  # a vertex listed twice; its cofacets stay those of one vertex
+    rigged = complexes.Complex(k.counter, levels_with(k, twin), k.facets)
     monkeypatch.setattr(complexes, "build", lambda r: rigged)
     monkeypatch.setattr(complexes, "_dual_graph_connected", lambda _: False)
     code, out, _ = run(capsys, "verify", "--counter", "1,1", "--checks", "connected,reconstruction,pure")
@@ -435,7 +435,7 @@ def test_verify_and_lattice_vertex_sets_on_large_counters():
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for text in ("2,2,2,1", "1,1,1,1,1", "3,3,3"):
+    for text in ("2,2,2,1", "1,1,1,1,1", "3,3,3", "2,2,2,2", "2,2,1,1,1"):
         proc = subprocess.run(
             [sys.executable, "-m", "snapcomplex.cli", "verify", "--counter", text],
             capture_output=True, text=True, env=env, timeout=600,
@@ -480,6 +480,20 @@ def test_verify_fits_seven_processes():
     assert proc.stdout == "".join(f"{c}: ok (1,1,1,1,1,1,1)\n" for c in checks.split(","))
     peak_kb = int(proc.stderr.split()[-2])
     assert peak_kb < 1024 * 1024, f"peak {peak_kb} kB"
+
+
+@pytest.mark.slow
+def test_build_seven_processes_keeps_one_adjacency():
+    # 783 890 simplices; a stored cofacet map beside the facets peaked at 446 MB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, "build", "--counter", "1,1,1,1,1,1,1"],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+    peak_kb = int(proc.stderr.split()[-2])
+    assert peak_kb < 350 * 1024, f"peak {peak_kb} kB"
 
 
 def _rig_pseudo(monkeypatch):

@@ -136,14 +136,22 @@ def test_build_cofacets_are_the_sorted_inverse_of_facets():
         assert sum(map(len, k.cofacets.values())) == sum(map(len, k.facets.values())), r
 
 
+def test_build_stores_facets_only_and_derives_cofacets_on_first_read():
+    for r in CORPUS_STRUCT:
+        k = complexes.build.__wrapped__(r)  # not kept in the build cache
+        assert "cofacets" not in vars(k), r
+        assert k.cofacets == build_oracle(r)[1], r
+        assert "cofacets" in vars(k) and k.cofacets is k.cofacets, r
+
+
 def _assert_build_equals_oracle(r):
-    k, want = complexes.build.__wrapped__(r), build_oracle(r)  # not kept in the build cache
+    k, (want, want_cofacets) = complexes.build.__wrapped__(r), build_oracle(r)  # not kept in the build cache
     assert k.simplices == want.simplices, r
     assert k.tops == want.tops, r
     assert k.by_dim == want.by_dim, r
     canonical = {s: s for s in k.simplices}
     assert all(s is canonical[s] for s in k.tops), r
-    for table, oracle in ((k.facets, want.facets), (k.cofacets, want.cofacets)):
+    for table, oracle in ((k.facets, want.facets), (k.cofacets, want_cofacets)):
         assert len(table) == len(k.simplices), r
         for sigma in k.simplices:
             near = table[sigma]
@@ -270,7 +278,7 @@ def test_path_profile_failures():
     k = build(RoundCounter.of(1, 1))
     # a vertex with no coface is neither an endpoint nor an interior vertex
     lone = WitnessTable([((0,), (1,))])
-    rigged = Complex(k.counter, levels_with(k, lone), {**k.facets, lone: ()}, {**k.cofacets, lone: ()})
+    rigged = Complex(k.counter, levels_with(k, lone), {**k.facets, lone: ()})
     assert path_profile(rigged) == PathReport(False, 3, (), f"valency 0: {lone.key}")
     # an interior vertex that lost a coface is a third leaf
     rigged, ridge = without_second_coface(k)
@@ -295,18 +303,21 @@ def test_structural_checks_catch_a_ridge_with_three_cofaces():
     k = build(RoundCounter.of(1, 1, 1))
     ridge = next(e for e in k.by_dim[1] if len(k.cofacets[e]) == 2)
     third = next(t for t in k.tops if t not in k.cofacets[ridge])
-    cofacets = dict(k.cofacets)
-    cofacets[ridge] += (third,)
-    rep = structural_checks(Complex(k.counter, tuple(k.by_dim.values()), k.facets, cofacets))
+    # the third top's vertex mask gains a vertex outside it, so no two
+    # simplices share a vertex set
+    facets = {**k.facets, third: k.facets[third] + (ridge,)}
+    rep = structural_checks(Complex(k.counter, tuple(k.by_dim.values()), facets))
     assert _fields(rep) == (True, False, True, True, True)
     assert rep.counterexample == f"pseudomanifold: {ridge.key} has 3 cofaces"
     assert not rep.ok
 
 
 def test_structural_checks_catch_a_simplex_below_the_top_with_no_coface():
+    # a foreign vertex with no round-0 ghost, whose only face is the empty
+    # simplex: it lies on no top, and not on the boundary
     k = build(RoundCounter.of(1, 1, 1))
-    lone = k.by_dim[0][1]
-    rep = structural_checks(Complex(k.counter, tuple(k.by_dim.values()), k.facets, {**k.cofacets, lone: ()}))
+    lone = WitnessTable([((0,), ()), ((0,), ())])
+    rep = structural_checks(Complex(k.counter, levels_with(k, lone), {**k.facets, lone: k.by_dim[-1]}))
     assert _fields(rep) == (False, True, True, True, True)
     assert rep.counterexample == f"pure: {lone.key}"
 
@@ -326,7 +337,7 @@ def test_structural_checks_catch_an_interior_face_below_a_boundary_ridge():
     ridge = next(e for e in k.by_dim[1] if len(k.cofacets[e]) == 1)
     inner = next(v for v in k.by_dim[0] if not v.pairs[0][1])
     facets = {**k.facets, ridge: (k.facets[ridge][0], inner)}
-    rep = structural_checks(Complex(k.counter, tuple(k.by_dim.values()), facets, k.cofacets))
+    rep = structural_checks(Complex(k.counter, tuple(k.by_dim.values()), facets))
     assert _fields(rep)[:4] == (True, True, False, True)
     assert rep.failures[0] == ("boundary_matches", f"boundary: {inner.key}")
 
@@ -335,7 +346,7 @@ def test_structural_checks_catch_two_simplices_with_one_vertex_set():
     # a face listed twice, as a build without face dedup would list it
     k = build(RoundCounter.of(1, 1, 1))
     twin = k.by_dim[1][0]
-    rep = structural_checks(Complex(k.counter, levels_with(k, twin), k.facets, k.cofacets))
+    rep = structural_checks(Complex(k.counter, levels_with(k, twin), k.facets))
     assert _fields(rep) == (True, True, True, True, False)
     assert rep.counterexample == f"reconstruction: {twin.key} vs {twin.key}"
 
@@ -362,7 +373,7 @@ def test_cone_check_catches_a_base_simplex_no_image_reaches(monkeypatch):
     real = complexes.build
     base = real(base_r)
     extra = WitnessTable([((0, 1), ())])  # one layer: no simplex of base_r
-    padded = Complex(base_r, levels_with(base, extra), {**base.facets, extra: ()}, {**base.cofacets, extra: ()})
+    padded = Complex(base_r, levels_with(base, extra), {**base.facets, extra: ()})
 
     assert cone_check(r, 2)
     monkeypatch.setattr(complexes, "build", lambda c: padded if c == base_r else real(c))
@@ -375,7 +386,7 @@ def test_cone_check_catches_a_simplex_in_neither_part(monkeypatch):
     real = complexes.build
     k = real(r)
     stray = real(r.delete((2,))).tops[0]  # the apex in neither W_0 nor G_0
-    rigged = Complex(r, levels_with(k, stray), k.facets, k.cofacets)
+    rigged = Complex(r, levels_with(k, stray), k.facets)
     assert cone_check(r, 2)
     monkeypatch.setattr(complexes, "build", lambda c: rigged if c == r else real(c))
     # the two parts still map onto the base face by face, but miss a simplex
@@ -386,7 +397,7 @@ def _rig_facets(monkeypatch, r, facets):
     """Let build(r) return the lattice of r with some facet lists replaced."""
     real = complexes.build
     k = real(r)
-    rigged = Complex(r, tuple(k.by_dim.values()), {**k.facets, **facets}, k.cofacets)
+    rigged = Complex(r, tuple(k.by_dim.values()), {**k.facets, **facets})
     monkeypatch.setattr(complexes, "build", lambda c: rigged if c == r else real(c))
 
 
@@ -686,20 +697,26 @@ def test_build_is_cached_and_bounded():
 
 
 def test_memo_inventory():
-    # every module-level memo in the package; a new one is added here and in
-    # the README on purpose
+    # every module-level memo and every per-instance cached property in the
+    # package; a new one is added here and in the README on purpose
+    import functools
     import importlib
     import pkgutil
 
     import snapcomplex
 
-    memos = set()
+    memos, cached = set(), set()
     for info in pkgutil.iter_modules(snapcomplex.__path__):
         module = importlib.import_module(f"snapcomplex.{info.name}")
         for obj in vars(module).values():
             if callable(obj) and hasattr(obj, "cache_info"):
                 memos.add(f"{obj.__module__.removeprefix('snapcomplex.')}.{obj.__qualname__}")
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                for name, attr in vars(obj).items():
+                    if isinstance(attr, functools.cached_property):
+                        cached.add(f"{info.name}.{obj.__qualname__}.{name}")
     assert memos == {"complexes.build", "decomposition._class_index", "counting._f_top_sorted"}
+    assert cached == {"complexes.Complex.cofacets"}
 
 
 def test_readme_names_resolve():

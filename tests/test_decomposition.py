@@ -402,7 +402,7 @@ def test_verify_stratum_iso_catches_rigged_maps(monkeypatch):
         # a target simplex that no member reaches, with every face map intact
         base = real_build(target_r)
         extra = WitnessTable([((0, 2), ())])  # one layer: no simplex of the target
-        padded = Complex(target_r, levels_with(base, extra), {**base.facets, extra: ()}, base.cofacets)
+        padded = Complex(target_r, levels_with(base, extra), {**base.facets, extra: ()})
         m.setattr(decomposition, "build", lambda c: padded if c == target_r else real_build(c))
         assert not verify_stratum_iso(r, sid)
 

@@ -179,8 +179,7 @@ def _restricted(k, keep):
     accepts, which must be closed under faces."""
     levels = tuple(tuple(s for s in level if keep(s, d)) for d, level in k.by_dim.items())
     members = {s for level in levels for s in level}
-    cofacets = {s: tuple(c for c in k.cofacets[s] if c in members) for s in members}
-    return Complex(k.counter, levels, {s: k.facets[s] for s in members}, cofacets)
+    return Complex(k.counter, levels, {s: k.facets[s] for s in members})
 
 
 def _boundary(s, d):

@@ -682,10 +682,19 @@ def _names(node) -> Counter:
 
 
 def test_no_dead_function_or_class():
-    # every top-level function or class is exported or named outside its own body
+    # every top-level function or class is exported or named outside its own
+    # body, and every public method or property of a package class is named
+    # outside its own body in the package or its tests
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in Path(snapcomplex.__file__).parent.glob("*.py")}
     named = sum(map(_names, trees.values()), Counter())
+    tests = (ast.parse(p.read_text(encoding="utf-8")) for p in Path(__file__).parent.glob("*.py"))
+    named_or_tested = named + sum(map(_names, tests), Counter())
     for file, tree in sorted(trees.items()):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in snapcomplex.__all__:
                 assert named[node.name] > _names(node)[node.name], f"{file}:{node.lineno} {node.name} is named nowhere else"
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                        where = f"{file}:{m.lineno} {node.name}.{m.name}"
+                        assert named_or_tested[m.name] > _names(m)[m.name], f"{where} is named nowhere else"
