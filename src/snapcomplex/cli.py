@@ -15,7 +15,7 @@ import sys
 from functools import cache
 from operator import attrgetter
 
-from .errors import CollapseStuck, InvalidArgument, PreconditionViolation
+from .errors import InvalidArgument, PreconditionViolation
 from .rounds import RoundCounter
 from .reports import CheckRecord
 from . import complexes, counting, decomposition, topology
@@ -63,15 +63,11 @@ _law = "{0.check} {0.params}".format  # a failed record shown as its law and par
 
 def _collapse_run(r):
     """(sequence, verdict) of one collapse of r to a point: the verdict is
-    ``topology.collapse_failure``, None when it holds; a stuck greedy tail
-    gives no sequence and its message.  The build runs first, through the
-    ``complexes.build`` attribute, so a wrapper of it times the build apart
-    from the collapse."""
+    ``topology.collapse_failure``, None when it holds.  The build runs
+    first, through the ``complexes.build`` attribute, so a wrapper of it
+    times the build apart from the collapse."""
     k = complexes.build(r)
-    try:
-        seq = topology.collapse_to_point(r)
-    except CollapseStuck as exc:
-        return None, str(exc)
+    seq = topology.collapse_to_point(r)
     return seq, topology.collapse_failure(k, seq)
 
 
@@ -181,9 +177,8 @@ def cmd_count(r: RoundCounter, args) -> int:
 
 def cmd_collapse(r: RoundCounter, args) -> int:
     seq, bad = _collapse_run(r)
-    if seq is not None:
-        _deliver(args, lambda fh: fh.write(seq.to_json() + "\n"),
-                 f"steps={len(seq.steps)} residual={len(seq.residual)} valid={str(bad is None).lower()}")
+    _deliver(args, lambda fh: fh.write(seq.to_json() + "\n"),
+             f"steps={len(seq.steps)} residual={len(seq.residual)} valid={str(bad is None).lower()}")
     if bad is not None:
         print(f"error: {bad}", file=sys.stderr)
     return 0 if bad is None else 1

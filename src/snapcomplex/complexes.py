@@ -241,17 +241,6 @@ def structural_checks(k: Complex) -> StructureReport:
     return StructureReport(*(name not in failures for name in checks), tuple(failures.items()))
 
 
-def _dual_graph_adjacency(k: Complex) -> dict:
-    adj = {s: set() for s in k.tops}
-    for f in k.by_dim.get(k.dim - 1, ()):
-        cof = k.cofacets[f]
-        for a in cof:
-            for b in cof:
-                if a != b:
-                    adj[a].add(b)
-    return {s: tuple(sorted(nb, key=lambda x: x.pairs)) for s, nb in adj.items()}
-
-
 def _dual_graph_connected(k: Complex) -> bool:
     """Search the dual graph from the first top, walking the lattice: from
     a top through its facets, the ridges, to their cofacets."""
@@ -429,7 +418,6 @@ def _key_list(key: dict, simplices) -> str:
 def complex_to_dot(k: Complex) -> str:
     """Dual graph in DOT form; tops touching the boundary are flagged.  The
     node ids are ``witness.keys``, which need no escaping, as in JSON."""
-    adj = _dual_graph_adjacency(k)
     key = witness.keys(k.tops)
     lines = ["graph dual {"]
     for s in k.tops:
@@ -438,7 +426,8 @@ def complex_to_dot(k: Complex) -> str:
         lines.append(f'  "{key[s]}"{attr};')
     seen = set()
     for s in k.tops:
-        for nb in adj[s]:
+        # the neighbours through the ridges, as ``_dual_graph_connected`` walks them
+        for nb in sorted({c for f in k.facets[s] for c in k.cofacets[f] if c is not s}, key=attrgetter("pairs")):
             pair = tuple(sorted((key[s], key[nb])))
             if pair not in seen:
                 seen.add(pair)

@@ -14,23 +14,24 @@ Each pair is simplicially a (boundary piece, whole complex) pair of a
 strictly smaller counter, so its schedule comes from the recursion and is
 transported back through the stratum isomorphisms.  Within stages 1 and 2
 the batches run in never-decreasing |A| order.  The recursion meets the same
-(sub-counter, p) pairs many times, so one top-level ``collapse_pair`` call
-memoizes each plan and transports it once.  ``collapse_to_point`` finishes
-with a greedy tail that keeps a count of surviving cofacets and a heap of
-free faces in key order, re-checking only faces of each removed pair.  An
-independent replay validator is the arbiter of legality.  ``homology_gf2``
-ranks the boundary matrices by one sparse reduction with clearing.
+(sub-counter, p) pairs many times, so one top-level call memoizes each plan
+and transports it once.  ``collapse_to_point`` is one schedule: the same
+lemma, with p the least process x, runs on every round-0 boundary piece
+B_W (W not holding x, smallest first, the vertex of x left), each plan moved
+onto its piece by ``complexes.undelta_v``, so every step sits in a lemma
+batch (stage, S, A, V).  An independent replay validator is the arbiter of
+legality.  ``homology_gf2`` ranks the boundary matrices by one sparse
+reduction with clearing.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from typing import NamedTuple
 
-from .errors import CollapseStuck, PreconditionViolation
+from .errors import PreconditionViolation
 from .rounds import RoundCounter, id_set_text, subsets
-from .complexes import Complex, build
+from .complexes import Complex, build, undelta_v
 from .decomposition import rho_sa
 from .witness import WitnessTable, keys
 
@@ -41,11 +42,12 @@ class CollapseStep(NamedTuple):
 
 
 class CollapseBatch(NamedTuple):
-    stage: int  # 0 base case, 1..3 lemma stages, 4 greedy tail
+    stage: int  # 0 base case, 1..3 lemma stages
     first: tuple  # S of the stratum pair
     forced: tuple  # A of the stratum pair
     start: int
     stop: int
+    round0: tuple = ()  # V: the boundary piece B_V the batch was moved onto
 
 
 class CollapseSequence(NamedTuple):
@@ -62,10 +64,12 @@ class CollapseSequence(NamedTuple):
         return frozenset(out)
 
     def locate(self, index: int) -> str:
-        """Name step index with the stage and stratum batch (S, A) that made it."""
+        """Name step index with the stage and stratum batch (S, A, V) that
+        made it; V is left out when it is empty."""
         for b in self.batches:
             if b.start <= index < b.stop:
-                return f"step {index} (stage {b.stage}, S={id_set_text(b.first)}, A={id_set_text(b.forced)})"
+                v = f", V={id_set_text(b.round0)}" if b.round0 else ""
+                return f"step {index} (stage {b.stage}, S={id_set_text(b.first)}, A={id_set_text(b.forced)}{v})"
         return f"step {index}"
 
     def to_json(self) -> str:
@@ -130,80 +134,59 @@ def _collapse_plan(r: RoundCounter, p: int, memo: dict):
     return steps, batches
 
 
+def _residual(k: Complex, steps) -> tuple:
+    """The simplices of k that no step removes, in ``simplices`` order."""
+    removed = {s for step in steps for s in (step.free, step.coface)}
+    return tuple(s for s in k.simplices if s not in removed)
+
+
 def collapse_pair(r: RoundCounter, p: int) -> CollapseSequence:
     """Collapse away the interior and the interior of the p-boundary piece."""
     if p not in r.support:
         raise PreconditionViolation(f"process {p} is not in the support")
     steps, batches = _collapse_plan(r, p, {})
-    k = build(r)
-    removed = {s for step in steps for s in (step.free, step.coface)}
-    residual = tuple(s for s in k.simplices if s not in removed)
-    return CollapseSequence(tuple(steps), residual, tuple(batches))
+    return CollapseSequence(tuple(steps), _residual(build(r), steps), tuple(batches))
 
 
 def collapse_to_point(r: RoundCounter) -> CollapseSequence:
-    """Collapse the whole complex down to one vertex (plus the empty simplex).
+    """Collapse the whole complex down to the vertex of x = min(support)
+    (plus the empty simplex), one round-0 boundary piece B_W at a time.
 
-    The first round removes the interior and one boundary piece via the
-    staged schedule; the remaining boundary part is finished by a greedy
-    search that always removes the free face of smallest key, validated by
-    replay.  The search is incremental: it counts the surviving cofacets of
-    every survivor and keeps the free faces in a heap, so a step re-checks
-    only the faces of the pair it removed, and a heap entry that is no
-    longer free is dropped when it comes up.  A survivor set without a free
-    face raises ``CollapseStuck`` naming stage 4.
+    For each W ⊆ support − {x} in ``rounds.subsets`` order but the last
+    (W = support − {x}, whose piece is the vertex of x), the plan
+    ``_collapse_plan(r.delete(W), x)`` is moved onto B_W by
+    ``complexes.undelta_v(·, W)``.  Each step is legal:
+
+    * the plan removes exactly the simplices of K_{r−W} whose G_0 is ∅ or
+      {x}, and ``undelta_v(·, W)`` is the isomorphism K_{r−W} ≅ B_W, so
+      piece W removes the two cells G_0 = W and G_0 = W ∪ {x};
+    * a coface never has a larger G_0 than its face, so every other coface
+      of a step's free face lies in a cell G_0 = W′ or W′ ∪ {x} with
+      W′ ⊊ W, which an earlier, smaller piece has already removed;
+    * this is the cone collapse of the simplex's face poset, one cell pair
+      at a time, and it leaves the vertex of x and the empty simplex.
+
+    The pieces share one plan memo: for an active W disjoint from S,
+    ``r.delete(W).reduce(S, A)`` is ``r.reduce(S ∪ W, A ∪ W)``.  A piece's
+    batches keep their stage, S and A, name V = W, and are shifted to its
+    steps.
     """
     k = build(r)
-    if len(k.simplices) <= 2:
+    if not r.support:  # the empty simplex alone: there is no vertex to keep
         return CollapseSequence((), k.simplices, ())
-    p = min(r.support)
-    first = collapse_pair(r, p)
-    steps = list(first.steps)
-    batches = list(first.batches)
-    alive = set(first.residual)
-    # live[s] counts the surviving cofacets of s; s is free when it has one
-    # and that one has none.  The survivors stay closed under faces.
-    live = {s: sum(c in alive for c in k.cofacets[s]) for s in alive}
-
-    def free_coface(s):
-        if live[s] != 1:
-            return None
-        c = next(c for c in k.cofacets[s] if c in alive)
-        return None if live[c] else c
-
-    key = keys(alive)  # each survivor's key, computed once
-    heap = [(key[s], s) for s in alive if free_coface(s) is not None]
-    heapq.heapify(heap)
-    start = len(steps)
-    while len(alive) > 2:
-        # smallest key that is still a free face; stale entries are dropped
-        while heap:
-            _, s = heapq.heappop(heap)
-            if s in alive and (c := free_coface(s)) is not None:
-                break
+    x = min(r.support)
+    memo = {}
+    steps = []
+    batches = []
+    for w in subsets(r.support - {x})[:-1]:
+        plan, plan_batches = _collapse_plan(r.delete(w), x, memo)
+        shift = len(steps)
+        if w:
+            steps.extend(CollapseStep(undelta_v(st.free, w), undelta_v(st.coface, w)) for st in plan)
         else:
-            raise CollapseStuck(
-                4,
-                f"no free face among {len(alive)} surviving simplices of {r!r}",
-                sorted(key[s] for s in alive),
-            )
-        steps.append(CollapseStep(s, c))
-        alive.discard(s)
-        alive.discard(c)
-        for x in (s, c):
-            for f in k.facets[x]:
-                live[f] -= 1
-        # Only faces of s and c can become free.  Any other face keeps its
-        # surviving cofacets; if its one cofacet y was a facet of s or c, it
-        # lies in a second facet of that simplex too (a codimension-2 face
-        # lies in exactly two facets), which survives unless it is s itself.
-        for f in {*k.facets[s], *k.facets[c]}:
-            if f in alive and free_coface(f) is not None:
-                heapq.heappush(heap, (key[f], f))
-    if start != len(steps):
-        batches.append(CollapseBatch(4, (), (), start, len(steps)))
-    residual = tuple(s for s in k.simplices if s in alive)
-    return CollapseSequence(tuple(steps), residual, tuple(batches))
+            steps.extend(plan)
+        batches.extend(b._replace(start=b.start + shift, stop=b.stop + shift, round0=w) for b in plan_batches)
+    return CollapseSequence(tuple(steps), _residual(k, steps), tuple(batches))
 
 
 class ValidationResult(NamedTuple):
@@ -244,7 +227,7 @@ def validate_collapse(k: Complex, seq: CollapseSequence) -> ValidationResult:
 def collapse_failure(k: Complex, seq: CollapseSequence) -> str | None:
     """None when seq is a legal replay that collapses k to one vertex plus the
     empty simplex; else why not: the replay's reason, at the step (stage and
-    (S, A) batch) it names if it names one, or ``bad residual``."""
+    (S, A, V) batch) it names if it names one, or ``bad residual``."""
     ver = validate_collapse(k, seq)
     if not ver:
         return ver.reason + ("" if ver.failed_index is None else f" at {seq.locate(ver.failed_index)}")

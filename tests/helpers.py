@@ -6,12 +6,11 @@ truncation, canonical form via a single forward-merging pass and via the
 kept-layer index list, executions via unpruned sequence filtering.  The
 stratum transport maps keep their validating bodies here.  Every table
 oracle builds its result with the validating ``WitnessTable`` constructor.
-The collapse schedule keeps its unmemoized plan and its greedy tail that
-re-sorts the survivors at every step.  The vertex sets and the face relation
-are read off ghosting, and the JSON exports of a complex and of a collapse
-sequence are object trees passed through ``json.dumps``.  The face lattice
-is built depth first with the general ghosting operator, one global sort and
-a separate cofacet pass.
+The collapse schedule keeps its unmemoized plan.  The vertex sets and the
+face relation are read off ghosting, and the JSON exports of a complex and
+of a collapse sequence are object trees passed through ``json.dumps``.  The
+face lattice is built depth first with the general ghosting operator, one
+global sort and a separate cofacet pass.
 """
 
 from __future__ import annotations
@@ -460,29 +459,6 @@ def collapse_plan_oracle(r: RoundCounter, p: int):
                 run_batch(2, s, a, r.reduce(s, a), q)
         run_batch(3, (p,), (), r.execute((p,)), p)
     return steps, batches
-
-
-def greedy_tail_oracle(k, survivors) -> list:
-    """Greedy collapse steps that re-sort every survivor by key at each step."""
-    alive = set(survivors)
-
-    def alive_cofacets(s):
-        return [c for c in k.cofacets[s] if c in alive]
-
-    steps = []
-    while len(alive) > 2:
-        best = None
-        for s in sorted(alive, key=lambda x: x.key):
-            cof = alive_cofacets(s)
-            if len(cof) == 1 and not alive_cofacets(cof[0]):
-                best = CollapseStep(s, cof[0])
-                break
-        if best is None:
-            raise AssertionError(f"greedy oracle is stuck with {len(alive)} survivors")
-        steps.append(best)
-        alive.discard(best.free)
-        alive.discard(best.coface)
-    return steps
 
 
 def gf2_rank_low_pivot(rows) -> int:

@@ -424,8 +424,8 @@ def test_closed_stdout_exits_1_without_traceback():
 LARGE_SHA256 = {
     ("build", "2,2,2,1", "json"): "45d62f73b6598d7c678c2795ef8e35135c996b5ac04f20e5934c2b26e98f9652",
     ("export", "2,2,2,1", "dot"): "a560629283dca48fb30a5b3ce179907079a606a58d214a1e5a127f7bd507b535",
-    ("collapse", "2,2,2,1", "json"): "db103b3fcdddca855d9e9078c8c0ac786c6ee37a4dcda42f898ee98b3734f57e",
-    ("collapse", "3,3,3", "json"): "289339d1ca9881e4f0c93111a961a67a3f35b6c78f1ea38af89e26cad50a8ae9",
+    ("collapse", "2,2,2,1", "json"): "ba78cc46311dcd3ef9dac634ce170417337f5ed852468e7faa53ce8f9405012b",
+    ("collapse", "3,3,3", "json"): "34c8f9830896d60151ccb687af62cf5764f511122176e134eda92a894fcda25a",
 }
 
 
@@ -527,16 +527,6 @@ def _rig_cone(monkeypatch):
     monkeypatch.setattr(complexes, "cone_check", lambda r, apex: False)
 
 
-def _rig_collapse_stuck(monkeypatch):
-    from snapcomplex import topology
-    from snapcomplex.errors import CollapseStuck
-
-    def stuck(r):
-        raise CollapseStuck(4, "no free face among 5 surviving simplices")
-
-    monkeypatch.setattr(topology, "collapse_to_point", stuck)
-
-
 def _rig_collapse_sequence(edit):
     """A rig that passes each real collapse sequence through edit."""
 
@@ -572,7 +562,6 @@ FAIL_LINES = {
     "homology": ("homology", "1,1,1", _rig_homology, "betti=(1, 1, 0) euler=0"),
     "chromatic": ("chromatic", "1,1", _rig_chromatic, "simplex sets differ"),
     "cone": ("cone", "1,1,0,0", _rig_cone, "apex=2"),
-    "collapse-stuck": ("collapse", "1,1,1", _rig_collapse_stuck, "stage 4: no free face among 5 surviving simplices"),
     "collapse-not-a-point": ("collapse", "1,1,1", _rig_collapse_sequence(_without_last_step), "bad residual"),
     "collapse-residual": (
         "collapse", "1,1,1", _rig_collapse_sequence(_with_one_residual), "residual does not match the replay"
@@ -580,9 +569,8 @@ FAIL_LINES = {
 }
 
 
-# collapse case -> the collapse command's stdout: nothing when the plan is stuck
+# collapse case -> the collapse command's stdout
 COLLAPSE_STDOUT = {
-    "collapse-stuck": "",
     "collapse-not-a-point": "steps=23 residual=4 valid=false\n",
     "collapse-residual": "steps=24 residual=1 valid=false\n",
 }

@@ -599,7 +599,7 @@ def test_sparse_counter_json_pinned():
 EXPORT_SHA256 = {
     ("1,1,1", "json"): "ff943fe339673fcdb1f6ba923365f3917c1b3a11a4b5c1d6ec1dffbd787b903e",
     ("1,1,1", "dot"): "a24af93d4861adf29bce3cefcb1fd54cab0c3392bd8756f731ad3dd869583b29",
-    ("1,1,1", "collapse"): "0e4557122c8d387f1debae52dea4a4aa4584e7853df55794eea38ee21ea09f06",
+    ("1,1,1", "collapse"): "0a795bd60e409d5e2427928c3d7660a1626662e44b7e7eaa6b88f0521fc8fe7b",
     ("2,1", "json"): "4cff795d157f464ccceea46d9a63b6124885d5eb4ef2859cddc30b7bce0a8cef",
     ("2,1", "dot"): "fe72e32a2284e35776588c3908aae64b22376236712f18d3e282f25b1d738ed8",
     ("2,1", "collapse"): "9f28cd9cf65b207b73862b3e2040ac88de13d0bcd6b7bf6f23b1f2c39ced2409",
@@ -657,10 +657,10 @@ def test_verify_bytes_pinned(capsys):
 # sha256 of `collapse --format json` stdout; these counters move steps through
 # rho_sa with forced ghosts A and through two-round Y members
 COLLAPSE_SHA256 = {
-    "2,1,1": "1d335e03698c8d9f74fa2b212c931e9cff954f356fc14b710ae297677656c8bf",
-    "1,1,1,1": "ec3f839df8e8d8b49f34b1fb2c968ccea5fee7f51e3132bad498bb6b18560011",
-    "2,2,2": "95cbd4d34c5ebd03a48d76339696ed2311fa78ae6924b1df770c5633503c978d",
-    "1,1,1,1,1": "a2f737eedeff82333580d140d2db6a244f616588d1c0d4c05085216fc9c5280a",
+    "2,1,1": "ad00cbf2088a6191fcc2ef6104939133f824bfe51d0fc8daf9bf4d0d640e2a0e",
+    "1,1,1,1": "5c55a9432eac673f50a3a6d1fa50cce4ebd0d21957e30e90959a80cbdd1e3b56",
+    "2,2,2": "e8352aefdc22e205eee86979ac2390b51aae674bf1ef790a4874a62048aeea61",
+    "1,1,1,1,1": "91a6292c4ee40ea4f240d7898b1ce933476997ee1a38286b854f5799e1252732",
 }
 
 
@@ -677,7 +677,7 @@ def test_collapse_bytes_pinned(capsys):
 # make: gaps and unsorted values move every id in every layer
 RELABELLED_SHA256 = {
     ("build", "x,2,1,x,2,2"): "1d23d3237f9f0ea9e65de56a51d5212fcd4180c5a8e2420e2364d222eaeafd01",
-    ("collapse", "1,x,1,1,1,1"): "8d52222f88c7a57752cc112d2f78168d5593ff0125f42c3cd097c1e500ba5954",
+    ("collapse", "1,x,1,1,1,1"): "7ff779825d032fdfe29862955492b0a1088d8f6ced416e2624eef17999166b94",
 }
 
 

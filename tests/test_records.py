@@ -56,8 +56,8 @@ RECORDS = [
     (CollapseStep(T, U), ("free", "coface"), STEP_TEXT, True),
     (
         CollapseBatch(1, (0,), (), 0, 2),
-        ("stage", "first", "forced", "start", "stop"),
-        "CollapseBatch(stage=1, first=(0,), forced=(), start=0, stop=2)",
+        ("stage", "first", "forced", "start", "stop", "round0"),
+        "CollapseBatch(stage=1, first=(0,), forced=(), start=0, stop=2, round0=())",
         True,
     ),
     (

@@ -15,8 +15,9 @@ from snapcomplex import (
     validate_collapse,
 )
 from snapcomplex import topology
-from snapcomplex.complexes import Complex
-from snapcomplex.errors import CollapseStuck, PreconditionViolation
+from snapcomplex.complexes import Complex, undelta_v
+from snapcomplex.decomposition import StratumId, stratum
+from snapcomplex.errors import PreconditionViolation
 from snapcomplex.topology import CollapseBatch, CollapseStep, ValidationResult
 from tests.helpers import (
     betti_of_simplex_set,
@@ -24,7 +25,7 @@ from tests.helpers import (
     collapse_plan_oracle,
     counters_with,
     gf2_rank_low_pivot,
-    greedy_tail_oracle,
+    sorted_subsets,
 )
 from tests.test_complexes import CORPUS_STRUCT
 
@@ -261,39 +262,67 @@ def test_collapse_pair_matches_unmemoized_plan():
             assert seq.batches == tuple(batches), (r, p)
 
 
-def test_collapse_to_point_matches_resorting_greedy_tail():
+def _pieces_oracle(r):
+    """collapse_to_point rebuilt from the unmemoized plan: for each W in
+    ``sorted_subsets(support - {x})`` but the last, the plan of r - W for
+    x = min(support), moved onto B_W, its batches shifted and naming V = W."""
+    x = min(r.support)
+    steps = []
+    batches = []
+    for w in sorted_subsets(r.support - {x})[:-1]:
+        plan, plan_batches = collapse_plan_oracle(r.delete(w), x)
+        shift = len(steps)
+        steps += [CollapseStep(undelta_v(st.free, w), undelta_v(st.coface, w)) for st in plan]
+        batches += [CollapseBatch(b.stage, b.first, b.forced, b.start + shift, b.stop + shift, w) for b in plan_batches]
+    return steps, batches
+
+
+def test_collapse_to_point_matches_the_piece_by_piece_oracle():
+    for r in _oracle_corpus():
+        seq = collapse_to_point(r)
+        steps, batches = _pieces_oracle(r)
+        assert seq.steps == tuple(steps), r
+        assert seq.batches == tuple(batches), r
+
+
+def test_each_collapse_step_lies_in_its_piece_and_stratum():
+    # piece V removes the cells G_0 = V and G_0 = V + {x}; a stage 1-3 step
+    # of batch (S, A) lies in the stratum X_{S,A,V}
     for r in _oracle_corpus():
         k = build(r)
         seq = collapse_to_point(r)
-        if len(k.simplices) <= 2:
-            assert seq.steps == ()
-            continue
-        first = collapse_pair(r, min(r.support))
-        tail = greedy_tail_oracle(k, first.residual)
-        assert seq.steps == first.steps + tuple(tail), r
-        want = first.batches
-        if tail:
-            want += (CollapseBatch(4, (), (), len(first.steps), len(seq.steps)),)
-        assert seq.batches == want, r
+        x = min(r.support)
+        covered = 0
+        for b in seq.batches:
+            v = frozenset(b.round0)
+            part = stratum(k, StratumId(b.first, b.forced, v)) if b.stage else None
+            for step in seq.steps[b.start:b.stop]:
+                for t in step:
+                    assert t.g(0) in (v, v | {x}), (r, b, t)
+                    assert part is None or t in part, (r, b, t)
+            covered += b.stop - b.start
+        assert covered == len(seq.steps), r
 
 
-def test_greedy_tail_alone_matches_resorting_oracle(monkeypatch):
-    # an empty plan hands the tail the whole complex, up to dimension 3
-    for values in [(0, 0, 0), (1, 1, 1), (2, 1, 1), (0, 0, 0, 0), (1, 1, 1, 1)]:
-        k = build(RoundCounter.of(*values))
-        monkeypatch.setattr(topology, "collapse_pair", lambda r, p: CollapseSequence((), k.simplices, ()))
-        seq = collapse_to_point(k.counter)
-        assert seq.steps == tuple(greedy_tail_oracle(k, k.simplices)), values
-        assert validate_collapse(k, seq), values
+def test_a_failed_step_names_its_piece(capsys, monkeypatch):
+    # steps 18-20 of 1,1,1 are the piece B_{1}; swapping 18 and 19 puts a
+    # stage 2 step before the stage 1 step that frees it
+    from snapcomplex import cli
+
+    r = RoundCounter.of(1, 1, 1)
+    seq = collapse_to_point(r)
+    assert [b.round0 for b in seq.batches if b.start >= 18 and b.stop <= 21] == [(1,)] * 3
+    steps = list(seq.steps)
+    steps[18], steps[19] = steps[19], steps[18]
+    swapped = CollapseSequence(tuple(steps), seq.residual, seq.batches)
+    where = "free face has another surviving coface at step 18 (stage 1, S={2}, A={}, V={1})"
+    assert topology.collapse_failure(build(r), swapped) == where
+    monkeypatch.setattr(topology, "collapse_to_point", lambda r: swapped)
+    assert cli.main(["verify", "--counter", "1,1,1", "--checks", "collapse"]) == 1
+    assert capsys.readouterr().out == f"collapse: FAIL (1,1,1) counterexample={where}\n"
 
 
-def test_greedy_tail_reports_its_stage(monkeypatch):
-    # two vertices and the empty simplex, a 0-sphere, have no free face
-    r = RoundCounter.of(1, 1)
-    k = build(r)
-    sphere = (k.by_dim[-1][0], k.by_dim[0][0], k.by_dim[0][-1])
-    monkeypatch.setattr(topology, "collapse_pair", lambda r, p: CollapseSequence((), sphere, ()))
-    with pytest.raises(CollapseStuck) as info:
-        collapse_to_point(r)
-    assert info.value.stage == 4
-    assert str(info.value).startswith("stage 4: no free face among 3 surviving simplices")
+@pytest.mark.slow
+def test_collapse_to_point_on_every_counter_of_four_processes_and_six_rounds():
+    for r in counters_with(4, 6):
+        assert topology.collapse_failure(build(r), collapse_to_point(r)) is None, r

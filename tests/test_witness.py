@@ -698,3 +698,20 @@ def test_no_dead_function_or_class():
                     if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
                         where = f"{file}:{m.lineno} {node.name}.{m.name}"
                         assert named_or_tested[m.name] > _names(m)[m.name], f"{where} is named nowhere else"
+
+
+def test_every_error_class_is_raised_somewhere():
+    # a class that an `except` clause still names passes the dead-code test
+    # above, so each exception class of errors.py must also be instantiated
+    # in a package module other than errors.py
+    package = Path(snapcomplex.__file__).parent
+    made = set()
+    for path in package.glob("*.py"):
+        if path.name != "errors.py":
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(n, ast.Call):
+                    made.add(n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None))
+    errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    assert classes
+    assert [name for name in classes if name not in made] == []
