@@ -44,7 +44,6 @@ from .decomposition import (
     gamma,
     membership,
     rho,
-    rho_sa,
     strata_partition,
     stratum,
     verify_diagrams,

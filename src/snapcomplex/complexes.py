@@ -264,6 +264,8 @@ class PathReport(NamedTuple):
 
 def expected_endpoint(r: RoundCounter, p: int) -> WitnessTable:
     """The solo vertex of color p: p alone runs all its rounds."""
+    if p not in r.support:
+        raise PreconditionViolation(f"process {p} is not in the support")
     other = sorted(r.support - {p})
     return WitnessTable([((p,), tuple(other))] + [((p,), ())] * r[p])
 

@@ -8,7 +8,7 @@ X_{S,A,V} collects the simplices whose layer-1 data is compatible with
 (the Y part), or all of S is ghosted at layer 1 (the Z part) -- and whose
 round-0 ghosts contain V.  Each stratum is simplicially isomorphic to the
 complex of the reduced counter, via the maps ``gamma`` (peel off the first
-layer) and ``rho`` (re-attach it).
+layer) and ``rho`` (re-attach it), both named by the same ``StratumId``.
 
 Simplices with a single layer carry no layer-1 data; they are placed in the
 Z part exactly when S is ghosted at round 0, which is the unique reading
@@ -25,7 +25,7 @@ frozenset of the members of the classes listed under (S, A) whose G_0
 contains V.  The incidence laws run on class masks, ints with one bit per
 class, which is exact since the classes are nonempty and partition the
 simplices.  ``membership`` stays the one statement of the rule: ``gamma``
-and the laws call it, and the tests hold the index to it.
+is its one caller, and the tests hold the index to it.
 """
 
 from __future__ import annotations
@@ -205,19 +205,24 @@ def gamma(sigma: WitnessTable, sid: StratumId) -> WitnessTable:
     return WitnessTable._trusted(out, sigma.classification)
 
 
-def rho(tau: WitnessTable, first: Iterable[int]) -> WitnessTable:
-    """Re-attach the first concurrency class: inverse of gamma for A = 0.
+def rho(tau: WitnessTable, sid: StratumId) -> WitnessTable:
+    """Re-attach the first concurrency class: the inverse of gamma on sid.
 
-    When tau witnesses part of S at round 0, that part becomes the new layer
-    1; otherwise S is already ghosted at round 0 and just moves one layer in.
+    The forced ghosts A rejoin the round-0 ghosts in the same edit as
+    layer 0; V only filters the stratum, so rho ignores it.  When tau
+    witnesses part of S at round 0, that part becomes the new layer 1;
+    otherwise S is already ghosted at round 0 and just moves one layer in.
 
     Every later layer keeps its W part, so the result keeps the class of
     tau (a single layer is a witness structure, and so is its extension by
-    a nonempty layer 1).
+    a nonempty layer 1).  The ids were checked when sid was made.
     """
-    s = id_set(first)
+    s, a = sid.first, sid.ghosts
     pairs = tau.pairs
-    v0, h0 = pairs[0]
+    v0, g0 = pairs[0]
+    if a.intersection(v0):
+        raise InvalidArgument(f"{sorted(a.intersection(v0))} is witnessed at round 0")
+    h0 = tuple(sorted(a.union(g0)))
     if not s.issubset(v0 + h0):
         raise PreconditionViolation(f"{sorted(s)} is not within the support")
     if s.intersection(v0):
@@ -227,22 +232,13 @@ def rho(tau: WitnessTable, first: Iterable[int]) -> WitnessTable:
         ) + pairs[1:]
         return WitnessTable._trusted(out, tau.classification)
     if tau.t == 0:
-        return tau
+        return WitnessTable._trusted(((v0, h0),), tau.classification) if a else tau
     w1, g1 = pairs[1]
     out = (
         (tuple(sorted(s.union(v0))), tuple(p for p in h0 if p not in s)),
         (w1, tuple(sorted(s.union(g1)))),
     ) + pairs[2:]
     return WitnessTable._trusted(out, tau.classification)
-
-
-def rho_sa(tau: WitnessTable, first: Iterable[int], ghosts: Iterable[int] = ()) -> WitnessTable:
-    """Inverse of gamma for arbitrary forced ghosts: re-add A, then rho.
-    A reaches the table only through ``undelta_v``, which checks its ids."""
-    a = frozenset(ghosts)
-    if a:
-        tau = undelta_v(tau, a)
-    return rho(tau, first)
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +248,13 @@ def rho_sa(tau: WitnessTable, first: Iterable[int], ghosts: Iterable[int] = ()) 
 
 def verify_stratum_iso(r: RoundCounter, sid: StratumId) -> bool:
     """gamma is a face-respecting bijection (``maps_faces``) from the stratum
-    onto its target, inverted by ``rho_sa``.
+    onto its target, inverted by ``rho``.
 
     The target is ``boundary_subcomplex(build(r.reduce(S, A)), V)``; it and
     the stratum are closed, so no face leaves either.  Since every member
     must keep its active set, equal face sets pair each face of sigma with
     the face of tau that lacks the same process.  A member that gamma or
-    rho_sa rejects breaks the isomorphism.
+    rho rejects breaks the isomorphism.
     """
     sid.validate(r)
     k = build(r)
@@ -266,7 +262,7 @@ def verify_stratum_iso(r: RoundCounter, sid: StratumId) -> bool:
     try:
         image = {sigma: gamma(sigma, sid) for sigma in stratum(k, sid)}
         return maps_faces(k, image, target, boundary_subcomplex(target, sid.round0)) and all(
-            rho_sa(tau, sid.first, sid.ghosts) == sigma and tau.active_set == sigma.active_set
+            rho(tau, sid) == sigma and tau.active_set == sigma.active_set
             for sigma, tau in image.items()
         )
     except (InvalidArgument, PreconditionViolation):
@@ -274,8 +270,9 @@ def verify_stratum_iso(r: RoundCounter, sid: StratumId) -> bool:
 
 
 def all_stratum_ids(r: RoundCounter) -> list:
-    """Every (S, A) pair with A <= S <= active set (V = 0)."""
-    return [StratumId(s, a) for s in _subsets(r.active) for a in _subsets(s)]
+    """Every (S, A) pair with A <= S <= active set, S nonempty (V = 0).
+    X_{0,0} is the whole complex, on which gamma is the identity."""
+    return [StratumId(s, a) for s in _subsets(r.active)[1:] for a in _subsets(s)]
 
 
 # ---------------------------------------------------------------------------

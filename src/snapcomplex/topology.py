@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .errors import PreconditionViolation
 from .rounds import RoundCounter, id_set_text, subsets
 from .complexes import Complex, build, undelta_v
-from .decomposition import rho_sa
+from .decomposition import StratumId, rho
 from .witness import WitnessTable, keys
 
 
@@ -54,14 +54,6 @@ class CollapseSequence(NamedTuple):
     steps: tuple
     residual: tuple  # surviving simplices, sorted
     batches: tuple = ()
-
-    @property
-    def removed(self) -> frozenset:
-        out = set()
-        for step in self.steps:
-            out.add(step.free)
-            out.add(step.coface)
-        return frozenset(out)
 
     def locate(self, index: int) -> str:
         """Name step index with the stage and stratum batch (S, A, V) that
@@ -108,8 +100,9 @@ def _collapse_plan(r: RoundCounter, p: int, memo: dict):
     def run_batch(stage, s, a, sub_r, sub_p):
         start = len(steps)
         sub_steps, _ = _collapse_plan(sub_r, sub_p, memo)
+        sid = StratumId(s, a)
         for st in sub_steps:
-            steps.append(CollapseStep(rho_sa(st.free, s, a), rho_sa(st.coface, s, a)))
+            steps.append(CollapseStep(rho(st.free, sid), rho(st.coface, sid)))
         batches.append(CollapseBatch(stage, s, a, start, len(steps)))
 
     act = sorted(r.active)

@@ -20,7 +20,7 @@ from itertools import combinations, product
 
 from snapcomplex import RoundCounter, WitnessTable, from_trace, ghost, trace_form
 from snapcomplex.complexes import Complex, enumerate_top
-from snapcomplex.decomposition import IN_Y, IN_Z, OUT, StratumId, membership, rho_sa
+from snapcomplex.decomposition import IN_Y, IN_Z, OUT, StratumId, membership, rho
 from snapcomplex.errors import InvalidArgument, PreconditionViolation
 from snapcomplex.topology import CollapseBatch, CollapseStep
 
@@ -435,8 +435,9 @@ def collapse_plan_oracle(r: RoundCounter, p: int):
     def run_batch(stage, s, a, sub_r, sub_p):
         start = len(steps)
         sub_steps, _ = collapse_plan_oracle(sub_r, sub_p)
+        sid = StratumId(s, a)
         for st in sub_steps:
-            steps.append(CollapseStep(rho_sa(st.free, s, a), rho_sa(st.coface, s, a)))
+            steps.append(CollapseStep(rho(st.free, sid), rho(st.coface, sid)))
         batches.append(CollapseBatch(stage, s, a, start, len(steps)))
 
     act = sorted(r.active)

@@ -496,6 +496,22 @@ def test_build_seven_processes_keeps_one_adjacency():
     assert peak_kb < 350 * 1024, f"peak {peak_kb} kB"
 
 
+@pytest.mark.slow
+def test_collapse_seven_processes():
+    # one rho table per transported simplex: re-adding A through undelta_v
+    # first peaked at 685 MB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, "collapse", "--counter", "1,1,1,1,1,1,1"],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+    assert proc.stdout == "steps=391944 residual=2 valid=true\n"
+    peak_kb = int(proc.stderr.split()[-2])
+    assert peak_kb < 700 * 1024, f"peak {peak_kb} kB"
+
+
 def _rig_pseudo(monkeypatch):
     from snapcomplex import complexes
 

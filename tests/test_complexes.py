@@ -274,6 +274,12 @@ def test_path_profiles():
         path_profile(build(RoundCounter.of(1, 1, 1)))
 
 
+def test_expected_endpoint_rejects_a_process_outside_the_support():
+    # the error collapse_pair raises, not a KeyError from the counter
+    with pytest.raises(PreconditionViolation, match="^process 5 is not in the support$"):
+        expected_endpoint(RoundCounter.of(1, 1), 5)
+
+
 def test_path_profile_failures():
     k = build(RoundCounter.of(1, 1))
     # a vertex with no coface is neither an endpoint nor an interior vertex
@@ -655,7 +661,7 @@ def test_verify_bytes_pinned(capsys):
 
 
 # sha256 of `collapse --format json` stdout; these counters move steps through
-# rho_sa with forced ghosts A and through two-round Y members
+# rho with forced ghosts A and through two-round Y members
 COLLAPSE_SHA256 = {
     "2,1,1": "ad00cbf2088a6191fcc2ef6104939133f824bfe51d0fc8daf9bf4d0d640e2a0e",
     "1,1,1,1": "5c55a9432eac673f50a3a6d1fa50cce4ebd0d21957e30e90959a80cbdd1e3b56",

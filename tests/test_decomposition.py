@@ -15,7 +15,6 @@ from snapcomplex import (
     gamma,
     membership,
     rho,
-    rho_sa,
     strata_partition,
     stratum,
     verify_diagrams,
@@ -132,7 +131,7 @@ def test_stratum_examples():
 def test_gamma_rho_examples():
     assert gamma(C_EDGE, StratumId({0, 1})) == WitnessTable([({0, 1}, ())])
     assert gamma(U0, StratumId({0, 1})) == WitnessTable([({0}, {1})])
-    assert rho(WitnessTable([({0}, {1})]), {0, 1}) == U0
+    assert rho(WitnessTable([({0}, {1})]), StratumId({0, 1})) == U0
     with pytest.raises(PreconditionViolation):
         gamma(V0, StratumId({1}))
 
@@ -145,7 +144,7 @@ def test_gamma_rho_single_layer_extension():
     z = stratum(k, sid)
     assert keys(z) == keys({WitnessTable([({1}, {0})]), WitnessTable([((), {0, 1})])})
     assert gamma(WitnessTable([({1}, {0})]), sid) == WitnessTable([({1}, ())])
-    assert rho_sa(WitnessTable([({1}, ())]), {0}, {0}) == WitnessTable([({1}, {0})])
+    assert rho(WitnessTable([({1}, ())]), sid) == WitnessTable([({1}, {0})])
     assert verify_stratum_iso(r, sid)
 
 
@@ -160,7 +159,9 @@ def test_transport_maps_reject_invalid_input():
     with pytest.raises(PreconditionViolation):
         delta_v(t, [0])  # not a round-0 ghost
     with pytest.raises(PreconditionViolation):
-        rho(t, [5])  # outside the support
+        rho(t, StratumId([5]))  # outside the support
+    with pytest.raises(InvalidArgument):
+        rho(t, StratumId([0], [0]))  # a forced ghost witnessed at round 0 (P3)
     assert membership(t, StratumId({0})) == OUT
     with pytest.raises(PreconditionViolation):
         gamma(t, StratumId({0}))
@@ -178,9 +179,6 @@ def test_transport_maps_reject_invalid_input():
         lambda: StratumId({0}, (), {1.0}),
         lambda: StratumId({0}, {-1}),
         lambda: StratumId(["a"]),
-        lambda: rho(V0, [True]),  # 1 is V0's round-0 ghost, so True would be re-attached
-        lambda: rho(V0, [1.0]),
-        lambda: rho_sa(V0, [True]),
     ],
     ids=[
         "delta-bool",
@@ -192,9 +190,6 @@ def test_transport_maps_reject_invalid_input():
         "round0-float",
         "ghosts-negative",
         "first-str",
-        "rho-bool",
-        "rho-float",
-        "rho_sa-first-bool",
     ],
 )
 def test_stratum_map_ids_obey_the_one_natural_rule(call):
@@ -203,19 +198,17 @@ def test_stratum_map_ids_obey_the_one_natural_rule(call):
 
 
 def test_rejected_stratum_map_stores_no_table_or_layer():
-    # the intern tables key on equal values, so a stored (0, True) layer would
-    # stand for (0, 1) in every later table of the process
+    # the intern tables keep every table for the life of the process, so rho
+    # checks A and S before it makes one
     from snapcomplex.witness import _LAYERS, _TABLES
 
     before = len(_TABLES), len(_LAYERS)
-    for call in (
-        lambda: rho(V0, [True]),
-        lambda: rho(V0, [1.0]),
-        lambda: rho_sa(V0, [True]),
-        lambda: rho_sa(V0, [0], [True]),
+    for sid, error in (
+        (StratumId({0}, {0}), InvalidArgument),  # A meets W_0 = {0}
+        (StratumId({2, 3}, {2}), PreconditionViolation),  # 3 lies outside W_0, G_0 and A
     ):
-        with pytest.raises(InvalidArgument):
-            call()
+        with pytest.raises(error):
+            rho(V0, sid)
         assert (len(_TABLES), len(_LAYERS)) == before
 
 
@@ -314,8 +307,8 @@ def _agree(new, old, *args):
     return got
 
 
-def _rho_sa_oracle(tau, first, ghosts):
-    return rho_oracle(undelta_v_oracle(tau, ghosts) if ghosts else tau, first)
+def _rho_sa_oracle(tau, sid):
+    return rho_oracle(undelta_v_oracle(tau, sid.ghosts), sid.first)
 
 
 def test_transport_maps_match_validating_oracles_on_prestructures():
@@ -331,9 +324,13 @@ def test_transport_maps_match_validating_oracles_on_prestructures():
                 # the round-0 gate admits exactly the V inside G_0
                 for v in subsets[sigma.g(0) - s]:
                     _agree(gamma, gamma_oracle, sigma, StratumId(s, a, v))
+        # rho on every S and every A <= S avoiding W_0, with S <= supp | A;
+        # A = 0 is the bare rho_oracle
+        for s in subsets[frozenset(universe)]:
+            for a in subsets[s]:
+                if not a & sigma.w(0) and s <= sigma.supp | a:
+                    _agree(rho, _rho_sa_oracle, sigma, StratumId(s, a))
         for ids in subsets[frozenset(universe)]:
-            if ids <= sigma.supp:
-                _agree(rho, rho_oracle, sigma, ids)
             if ids <= sigma.g(0):
                 _agree(delta_v, delta_v_oracle, sigma, ids)
             if not ids & sigma.w(0):
@@ -352,7 +349,7 @@ def test_transport_maps_match_validating_oracles_on_strata():
                         tau = _agree(gamma, gamma_oracle, sigma, sid)
                         _agree(delta_v, delta_v_oracle, sigma, v)
                         _agree(undelta_v, undelta_v_oracle, tau, a)
-                        _agree(rho_sa, _rho_sa_oracle, tau, s, a)
+                        _agree(rho, _rho_sa_oracle, tau, sid)
 
 
 def test_verify_stratum_iso_examples():
@@ -368,6 +365,35 @@ def test_verify_stratum_iso_all_small():
         r = RoundCounter.of(*values)
         for sid in all_stratum_ids(r):
             assert verify_stratum_iso(r, sid), (values, sid)
+        # X_{0,0} is the whole complex, mapped onto itself by the identity
+        assert verify_stratum_iso(r, StratumId(())), values
+
+
+def test_rho_makes_one_table_per_call(monkeypatch):
+    # rho re-adds A in its own layer-0 edit: composing undelta_v with the
+    # A = 0 map would make a second table that no caller keeps
+    r = RoundCounter.of(2, 1, 1)
+    k = build(r)
+    real = WitnessTable._trusted
+    calls = []
+
+    def counted(cls, pairs, kind):
+        calls.append(pairs)
+        return real(pairs, kind)
+
+    checked = 0
+    for sid in all_stratum_ids(r):
+        if not sid.ghosts:
+            continue
+        for sigma in stratum(k, sid):
+            tau = gamma(sigma, sid)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(WitnessTable, "_trusted", classmethod(counted))
+                back = rho(tau, sid)
+            assert (back, len(calls)) == (sigma, 1), (sid, sigma)
+            checked += 1
+    assert checked > 0
 
 
 def test_verify_stratum_iso_with_round0_ghosts():
@@ -390,7 +416,7 @@ def test_verify_stratum_iso_catches_rigged_maps(monkeypatch):
         m.setattr(decomposition, "gamma", lambda sigma, s: real_gamma(u if sigma == v else sigma, s))
         assert not verify_stratum_iso(r, sid)
     with monkeypatch.context() as m:
-        # u sent outside the target, to a table rho_sa still takes back to u:
+        # u sent outside the target, to a table rho still takes back to u:
         # the target simplex it should reach is missed
         m.setattr(
             decomposition,
@@ -570,24 +596,24 @@ def test_verify_diagrams_boundary_law_needs_its_first_and_last_terms(monkeypatch
 
 
 def test_verify_stratum_iso_catches_swapped_vertex_images(monkeypatch):
-    # two same-coloured vertices trade images under gamma, and rho_sa trades
+    # two same-coloured vertices trade images under gamma, and rho trades
     # them back: the images still form a bijection, but faces no longer match
     r = RoundCounter.of(1, 1, 1)
     sid = StratumId({0})
     assert verify_stratum_iso(r, sid)
     u, v = sorted((s for s in stratum(build(r), sid) if s.dim == 0 and s.color == 1), key=lambda s: s.pairs)
-    real_gamma, real_rho_sa = decomposition.gamma, decomposition.rho_sa
+    real_gamma, real_rho = decomposition.gamma, decomposition.rho
     gu, gv = real_gamma(u, sid), real_gamma(v, sid)
     swap, back = {u: gv, v: gu}, {gv: u, gu: v}
 
     def rigged_gamma(sigma, s):
         return swap[sigma] if sigma in swap else real_gamma(sigma, s)
 
-    def rigged_rho_sa(tau, first, ghosts=()):
-        return back[tau] if tau in back else real_rho_sa(tau, first, ghosts)
+    def rigged_rho(tau, s):
+        return back[tau] if tau in back else real_rho(tau, s)
 
     monkeypatch.setattr(decomposition, "gamma", rigged_gamma)
-    monkeypatch.setattr(decomposition, "rho_sa", rigged_rho_sa)
+    monkeypatch.setattr(decomposition, "rho", rigged_rho)
     assert not verify_stratum_iso(r, sid)
 
 
