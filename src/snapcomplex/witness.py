@@ -31,11 +31,12 @@ changes the one or two layers around p's last layer, which is most of
 last it runs ``_stabilized``.  The tests hold it to the oracle
 ``ghost_oracle`` on every face they reach.
 The operators build their results with the trusted constructor: they are
-valid by construction.  So do the stratum transport maps of ``complexes``
-and ``decomposition``, whose results take their class from ``kind_of``, and
-the join images of ``complexes.cone_check``.  Every other table, including
-any built from outside input, is validated.  ``keys`` makes the JSON keys of
-many tables at once, printing each distinct layer once.
+valid by construction.  So do ``complexes.enumerate_top``, whose tops are
+witness structures by construction, and the stratum transport maps of
+``complexes`` and ``decomposition``, whose results take their class from
+``kind_of``.  Every other table, including any built from outside input, is
+validated.  ``keys`` makes the JSON keys of many tables at once, printing
+each distinct layer once.
 
 Tables are hash-consed: each ``pairs`` encoding has one ``WitnessTable``
 object for the life of the process, so a face reached from many cofaces, or
@@ -164,12 +165,11 @@ class WitnessTable:
         validating constructor, the three operators here
         (``canonical_form``, ``stabilize`` and ``ghost``, which wrap the
         layers of ``_merge_empty`` and ``_stabilized``), the one-process
-        face kernel ``ghost_one``, ``complexes.enumerate_top``, the stratum
-        transport maps (``decomposition.gamma``/``rho``,
-        ``complexes.delta_v``/``undelta_v``) and the join images of
-        ``complexes.cone_check`` use it; every other input goes through the
-        validating constructor.  A new table's layers are replaced by their
-        ``_LAYERS`` objects before it is stored."""
+        face kernel ``ghost_one``, ``complexes.enumerate_top`` and the
+        stratum transport maps (``decomposition.gamma``/``rho``,
+        ``complexes.delta_v``/``undelta_v``) use it; every other input goes
+        through the validating constructor.  A new table's layers are
+        replaced by their ``_LAYERS`` objects before it is stored."""
         self = _TABLES.get(pairs)
         if self is None:
             self = object.__new__(cls)
@@ -264,7 +264,7 @@ class WitnessTable:
     def from_key(cls, key: str) -> "WitnessTable":
         try:
             pairs = json.loads(key)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep for the decoder
             raise InvalidArgument(f"not a table key: {exc}") from None
         return cls(pairs)
 

@@ -11,7 +11,6 @@ from snapcomplex import (
     boundary_subcomplex,
     build,
     chromatic_check,
-    classify,
     complex_to_dot,
     complex_to_json,
     complexes,
@@ -436,6 +435,34 @@ def test_cone_check_catches_a_cone_simplex_with_a_join_face(monkeypatch):
         assert not cone_check(r, 2)
 
 
+def test_cone_check_catches_a_join_simplex_with_a_second_cone_facet(monkeypatch):
+    r = RoundCounter.of(1, 1, 0)
+    k = build(r)
+    s = next(s for s in k.by_dim[1] if 2 in s.w(0))
+    own = next(f for f in k.facets[s] if 2 in f.g(0))
+    other = next(v for v in k.by_dim[0] if 2 in v.g(0) and v is not own)
+    assert cone_check(r, 2)
+    # placed after the apex face, so a check that took the first cone facet
+    # would pass: the faces inside the join part still map as before
+    _rig_facets(monkeypatch, r, {s: k.facets[s] + (other,)})
+    assert not cone_check(r, 2)
+
+
+def test_cone_check_catches_two_join_tops_with_swapped_apex_faces(monkeypatch):
+    r = RoundCounter.of(1, 1, 0)
+    k = build(r)
+    s, t = k.tops[:2]
+    fs, ft = [next(f for f in k.facets[x] if 2 in f.g(0)) for x in (s, t)]
+    assert cone_check(r, 2)
+    _rig_facets(
+        monkeypatch, r,
+        {s: tuple(ft if f is fs else f for f in k.facets[s]), t: tuple(fs if f is ft else f for f in k.facets[t])},
+    )
+    # each top still has one cone facet, the apex faces still cover the cone
+    # part once each, and the cone part still maps onto the base
+    assert not cone_check(r, 2)
+
+
 def test_checks_after_build_never_ghost(monkeypatch):
     def no_ghost(sigma, ghosted):
         raise AssertionError(f"ghosting {sigma!r} after build")
@@ -462,9 +489,9 @@ def test_build_and_structural_checks_read_no_dim(monkeypatch):
     assert len(reads) == 0
 
 
-def test_cone_check_join_images_equal_validated_tables(monkeypatch):
-    # cone_check builds its join images unvalidated; each must be the table
-    # the validating constructor makes of the simplex without its apex
+def test_cone_check_apex_faces_are_the_ghosted_apex(monkeypatch):
+    # cone_check reads each join simplex's apex face off the lattice; each
+    # must be the face that ghosting the apex makes
     real = complexes.maps_faces
     images = []
 
@@ -478,14 +505,23 @@ def test_cone_check_join_images_equal_validated_tables(monkeypatch):
         for p in sorted(r.passive):
             images.clear()
             assert cone_check(r, p), (r, p)
-            join = images[0]  # the join part is mapped first
-            assert join and all(p in s.w(0) for s in join), (r, p)
-            for s, image in join.items():
-                want = WitnessTable(((s.w(0) - {p}, s.g(0)),) + s.pairs[1:])
-                # interned: want is image, so the class is decided afresh
-                assert (image.pairs, image.classification) == (want.pairs, classify(want.pairs).kind), (r, p, s)
-            checked += len(join)
+            cone, apex_face = images  # the join part is mapped second
+            assert len(cone) + len(apex_face) == len(build(r)), (r, p)
+            assert apex_face and all(p in s.w(0) for s in apex_face), (r, p)
+            for s, face in apex_face.items():
+                assert face is witness.ghost_one(s, p), (r, p, s)
+            checked += len(apex_face)
     assert checked > 0
+
+
+def test_cone_check_on_every_passive_apex_of_four_processes():
+    replays = 0
+    for r in counters_with(4, 4):
+        if len(r.support) == 4:
+            for p in sorted(r.passive):
+                assert cone_check(r, p), (r, p)
+                replays += 1
+    assert replays == 140
 
 
 def test_lattice_vertex_sets_equal_ghosted_vertices():
