@@ -365,10 +365,7 @@ def chromatic_check(r: RoundCounter) -> bool:
                 for g in subsets(rest):
                     grow(tuple(p for p in rest if p not in g), layers + [(w, g)])
 
-        if todo0:
-            grow(todo0, [])
-        else:
-            expected.add(WitnessTable([(w0, g0)]))
+        grow(todo0, [])
 
     return set(build(r).simplices) == expected
 

@@ -15,17 +15,17 @@ Z part exactly when S is ghosted at round 0, which is the unique reading
 that keeps every stratum closed under faces and the gamma/rho pair
 mutually inverse.
 
-Membership reads nothing but the layer-1 data (R_1, G_1, G_0), or G_0 alone
-for a single-layer simplex, so every stratum is a union of the classes of
-simplices sharing that data, and the classes are far fewer than the
-simplices.  Each built complex has one class index: every class lists the
-(S, A) it belongs to, read off its own data.  V is no third dimension: a
-class has a single G_0, so V only filters classes, and X_{S,A,V} is the
-frozenset of the members of the classes listed under (S, A) whose G_0
-contains V.  The incidence laws run on class masks, ints with one bit per
-class, which is exact since the classes are nonempty and partition the
-simplices.  ``membership`` stays the one statement of the rule: ``gamma``
-is its one caller, and the tests hold the index to it.
+Membership reads nothing but layers 0 and 1 of a table, so every stratum
+is a union of classes, a class being the simplices that share layers 0
+and 1 (layer 0 alone for a single-layer simplex), and the classes are far
+fewer than the simplices.  Each built complex has one class index: every
+class lists the (S, A) it belongs to, read off its own layers.  V is no
+third dimension: a class has a single layer 0, so V only filters classes,
+and X_{S,A,V} is the frozenset of the members of the classes listed under
+(S, A) whose G_0 contains V.  The incidence laws run on class masks, ints
+with one bit per class, which is exact since the classes are nonempty and
+partition the simplices.  ``membership`` stays the one statement of the
+rule: ``gamma`` is its one caller, and the tests hold the index to it.
 """
 
 from __future__ import annotations
@@ -105,20 +105,20 @@ def _subsets(elems) -> list:
 
 @lru_cache(maxsize=8)
 def _class_index(k: Complex) -> tuple:
-    """(classes, index): the simplices of k grouped by the layer-1 data that
-    membership reads, and every (S, A) with A <= S mapped to the indexes,
-    ascending, of the classes in X_{S,A}; V filters these by G_0.
+    """(classes, index): the simplices of k grouped by layers 0 and 1, the
+    layer objects ``membership`` reads, and every (S, A) with A <= S mapped
+    to the indexes, ascending, of the classes in X_{S,A}; V filters these.
 
-    Each class lists its pairs from its own data, as ``membership`` decides
-    them.  A single-layer class is in the Z part for every S inside G_0 and
-    the active set, and A inside S.  Any other class is in the Y part only
-    for S = R_1 with A inside G_1, and in the Z part for every S inside G_1
-    and A inside S.  W_1 is nonempty, so no pair is listed twice.  The keys
-    are plain tuples of frozensets, one per distinct set.
+    Each class lists its pairs from its own layers, as ``membership``
+    decides them.  A single-layer class is in the Z part for every S inside
+    G_0 and the active set, and A inside S.  Any other class is in the Y
+    part only for S = R_1 with A inside G_1, and in the Z part for every S
+    inside G_1 and A inside S.  W_1 is nonempty, so no pair is listed twice.
+    The index keys are plain tuples of frozensets, one per distinct set.
     """
     groups = {}
     for s in k.simplices:
-        groups.setdefault((s.r_set(1), s.g(1), s.g(0)) if s.t >= 1 else s.g(0), []).append(s)
+        groups.setdefault(s.pairs[:2], []).append(s)
     classes = tuple(groups.values())
     subs = lru_cache(maxsize=None)(_subsets)
     active = frozenset(k.counter.active)
@@ -144,7 +144,7 @@ def stratum(k: Complex, sid: StratumId) -> frozenset:
     members = frozenset(
         s
         for i in index.get((sid.first, sid.ghosts), ())
-        if sid.round0 <= classes[i][0].g(0)
+        if sid.round0.issubset(classes[i][0].pairs[0][1])
         for s in classes[i]
     )
     if not all(f in members for s in members for f in k.facets[s]):
@@ -232,7 +232,7 @@ def rho(tau: WitnessTable, sid: StratumId) -> WitnessTable:
         ) + pairs[1:]
         return WitnessTable._trusted(out, tau.classification)
     if tau.t == 0:
-        return WitnessTable._trusted(((v0, h0),), tau.classification) if a else tau
+        return WitnessTable._trusted(((v0, h0),), tau.classification)
     w1, g1 = pairs[1]
     out = (
         (tuple(sorted(s.union(v0))), tuple(p for p in h0 if p not in s)),
@@ -280,10 +280,6 @@ def all_stratum_ids(r: RoundCounter) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(*sets) -> str:
-    return " ".join(map(id_set_text, sets))
-
-
 def _implies_containment(s, a, tt, b) -> bool:
     """Sufficient test for X_{S,A} <= X_{T,B}.
 
@@ -300,7 +296,7 @@ def verify_incidence(r: RoundCounter) -> Report:
     act = frozenset(r.active)
     none = frozenset()
     subsets, x, y, z = _class_masks(build(r))
-    name = {s: _fmt(s) for s in subsets}  # the params text of each subset
+    name = {s: id_set_text(s) for s in subsets}  # the params text of each subset
     records = []
 
     def add(check, params, ok):
@@ -401,7 +397,8 @@ def verify_diagrams(r: RoundCounter) -> Report:
                 return True
 
         bad = min(filter(broken, members), key=lambda s: (s.dim, s.pairs), default=None)
-        records.append(CheckRecord(check, _fmt(*params), bad is None, None if bad is None else bad.key))
+        text = " ".join(map(id_set_text, params))
+        records.append(CheckRecord(check, text, bad is None, None if bad is None else bad.key))
 
     # strata-within-strata: peeling A then S agrees with peeling S|A at once
     for a in subsets:
@@ -419,31 +416,29 @@ def verify_diagrams(r: RoundCounter) -> Report:
             replay("diagram-strata", (s, a), stratum(k, peel_sa), law)
 
     # forcing fewer ghosts differs from forcing more only by round-0 ghosts
-    for s in subsets[1:]:  # S nonempty
-        for a in _subsets(s):
-            more = StratumId(s, a)
-            members = stratum(k, more)
-            for b in _subsets(a):
-                fewer = StratumId(s, b)
-                replay(
-                    "diagram-ghost-forcing",
-                    (s, a, b),
-                    members,
-                    lambda sigma: peel(sigma, fewer) == undelta_v(peel(sigma, more), a - b),
-                )
+    for more in all_stratum_ids(r):
+        s, a = more.first, more.ghosts
+        members = stratum(k, more)
+        for b in _subsets(a):
+            fewer = StratumId(s, b)
+            replay(
+                "diagram-ghost-forcing",
+                (s, a, b),
+                members,
+                lambda sigma: peel(sigma, fewer) == undelta_v(peel(sigma, more), a - b),
+            )
 
     # peeling the first class commutes with stripping round-0 ghosts
-    for s in subsets[1:]:  # S nonempty
-        for a in _subsets(s):
-            sid = StratumId(s, a)
-            for v in _subsets(r.support - s):
-                dropped = build(r.delete(v))
+    for sid in all_stratum_ids(r):
+        s, a = sid.first, sid.ghosts
+        for v in _subsets(r.support - s):
+            dropped = build(r.delete(v))
 
-                def law(sigma):
-                    phi, psi = peel(sigma, sid), delta_v(sigma, v)
-                    return v <= phi.g(0) and psi in dropped and delta_v(phi, v) == peel(psi, sid)
+            def law(sigma):
+                phi, psi = peel(sigma, sid), delta_v(sigma, v)
+                return v <= phi.g(0) and psi in dropped and delta_v(phi, v) == peel(psi, sid)
 
-                replay("diagram-boundary", (s, a, v), stratum(k, StratumId(s, a, v)), law)
+            replay("diagram-boundary", (s, a, v), stratum(k, StratumId(s, a, v)), law)
 
     return Report(tuple(records))
 
@@ -469,18 +464,18 @@ def strata_partition(k: Complex) -> Report:
     passive = frozenset(r.passive)
     interiors_of = {sigma: [] for sigma in k.simplices}  # filled in (S, A) order
     rejected = {}  # member -> the first stratum whose maps reject it
-    # nonempty first classes, each with its proper subsets as forced ghosts
-    for s in _subsets(r.active)[1:]:
-        for a in _subsets(s)[:-1]:
-            sid = StratumId(s, a)
-            for sigma in stratum(k, sid):
-                try:
-                    v = gamma(sigma, sid).g(0)
-                except (InvalidArgument, PreconditionViolation):
-                    rejected.setdefault(sigma, sid)
-                    continue
-                if not v & s and v <= sigma.g(0):
-                    interiors_of[sigma].append((s, a, v))
+    for sid in all_stratum_ids(r):
+        s, a = sid.first, sid.ghosts
+        if a == s:  # the forced ghosts are a proper subset of S
+            continue
+        for sigma in stratum(k, sid):
+            try:
+                v = gamma(sigma, sid).g(0)
+            except (InvalidArgument, PreconditionViolation):
+                rejected.setdefault(sigma, sid)
+                continue
+            if not v & s and v <= sigma.g(0):
+                interiors_of[sigma].append((s, a, v))
     records = []
     for sigma, interiors in interiors_of.items():
         if sigma in rejected:

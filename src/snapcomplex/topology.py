@@ -12,8 +12,10 @@ stratum pair by stratum pair:
 
 Each pair is simplicially a (boundary piece, whole complex) pair of a
 strictly smaller counter, so its schedule comes from the recursion and is
-transported back through the stratum isomorphisms.  Within stages 1 and 2
-the batches run in never-decreasing |A| order.  The recursion meets the same
+transported back through the stratum isomorphisms.  Stage 1 is sorted by
+(|A|, S, A); stage 2 takes S in ``rounds.subsets`` order, |A| never
+decreasing within one S.  The replay validator, not this order, decides
+legality; the collapse JSON bytes pin the order.  The recursion meets the same
 (sub-counter, p) pairs many times, so one top-level call memoizes each plan
 and transports it once.  ``collapse_to_point`` is one schedule: the same
 lemma, with p the least process x, runs on every round-0 boundary piece

@@ -307,7 +307,13 @@ def trace_form(active: Iterable[int], ghosts: Iterable[int], traces: Mapping[int
 
     Ids and indices obey the one ``is_natural`` rule, checked before a set
     can merge True into 1."""
-    active, ghosts = tuple(active), tuple(ghosts)
+    if not isinstance(traces, Mapping):
+        raise InvalidArgument(f"traces must map each id to its indices, got {type(traces).__name__}")
+    try:
+        active, ghosts = tuple(active), tuple(ghosts)
+        traces = {p: tuple(ix) for p, ix in traces.items()}
+    except TypeError as exc:  # a set or a trace is not a collection
+        raise InvalidArgument(f"not a trace form: {exc}") from None
     if not all(map(is_natural, (*active, *ghosts, *traces))):
         raise InvalidArgument("process ids must be nonnegative integers")
     active, ghosts = frozenset(active), frozenset(ghosts)
@@ -316,8 +322,7 @@ def trace_form(active: Iterable[int], ghosts: Iterable[int], traces: Mapping[int
     if set(traces) != set(active | ghosts):
         raise InvalidArgument("trace domain must be exactly the union of active and ghost sets")
     norm = []
-    for p in sorted(traces):
-        ix = tuple(traces[p])
+    for p, ix in sorted(traces.items()):  # the ids are distinct, so no trace is compared
         if not ix or not all(map(is_natural, ix)):
             raise InvalidArgument(f"trace of {p} must be a set of nonnegative indices")
         ix = tuple(sorted(set(ix)))

@@ -272,6 +272,18 @@ def test_class_index_matches_membership():
                 assert got == want, (r, sid)
 
 
+def test_class_index_classes_are_the_groups_of_the_layer_data_triple():
+    # sharing layers 0 and 1 is sharing (R_1, G_1, G_0), or G_0 when t = 0:
+    # every simplex of a built complex has the full support, so layer 0 is
+    # fixed by G_0 and layer 1 by (R_1, G_1); the classes come in the same order
+    for r in CORPUS_STRATA + [RoundCounter.of(2, 2, 2, 1), RoundCounter.of(3, 3, 3)]:
+        k = build(r)
+        groups = {}
+        for s in k.simplices:
+            groups.setdefault((s.r_set(1), s.g(1), s.g(0)) if s.t >= 1 else s.g(0), []).append(s)
+        assert list(_class_index(k)[0]) == list(groups.values()), r
+
+
 def test_class_index_size_on_four_processes():
     # one key per (S, A) with A <= S <= {0,1,2,3}, 3^4 of them
     _, index = _class_index(build(RoundCounter.of(1, 1, 1, 1)))
@@ -307,7 +319,7 @@ def _agree(new, old, *args):
     return got
 
 
-def _rho_sa_oracle(tau, sid):
+def _rho_stratum_oracle(tau, sid):
     return rho_oracle(undelta_v_oracle(tau, sid.ghosts), sid.first)
 
 
@@ -329,7 +341,7 @@ def test_transport_maps_match_validating_oracles_on_prestructures():
         for s in subsets[frozenset(universe)]:
             for a in subsets[s]:
                 if not a & sigma.w(0) and s <= sigma.supp | a:
-                    _agree(rho, _rho_sa_oracle, sigma, StratumId(s, a))
+                    _agree(rho, _rho_stratum_oracle, sigma, StratumId(s, a))
         for ids in subsets[frozenset(universe)]:
             if ids <= sigma.g(0):
                 _agree(delta_v, delta_v_oracle, sigma, ids)
@@ -349,7 +361,7 @@ def test_transport_maps_match_validating_oracles_on_strata():
                         tau = _agree(gamma, gamma_oracle, sigma, sid)
                         _agree(delta_v, delta_v_oracle, sigma, v)
                         _agree(undelta_v, undelta_v_oracle, tau, a)
-                        _agree(rho, _rho_sa_oracle, tau, sid)
+                        _agree(rho, _rho_stratum_oracle, tau, sid)
 
 
 def test_verify_stratum_iso_examples():

@@ -1,5 +1,7 @@
 import json
 import random
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
@@ -27,6 +29,7 @@ from tests.helpers import (
     gf2_rank_low_pivot,
     sorted_subsets,
 )
+from tests.test_acceptance import CORPUS_COLLAPSE
 from tests.test_complexes import CORPUS_STRUCT
 
 
@@ -71,6 +74,27 @@ def test_collapse_pair_batches_respect_forced_ghost_order():
             for stage in (1, 2):
                 sizes = [len(b.forced) for b in seq.batches if b.stage == stage]
                 assert sizes == sorted(sizes), (values, p, stage)
+
+
+def test_collapse_pair_batches_run_in_the_stated_order():
+    # stage 1 is sorted by (|A|, S, A); stage 2 takes S in subsets order, each
+    # S's batches together, and |A| never decreases within one S
+    for r in CORPUS_COLLAPSE:
+        order = {s: i for i, s in enumerate(sorted_subsets(r.active))}
+        for p in sorted(r.support):
+            batches = collapse_pair(r, p).batches
+            one = [(b.first, b.forced) for b in batches if b.stage == 1]
+            assert one == sorted(one, key=lambda sa: (len(sa[1]), sa[0], sa[1])), (r, p)
+            two = [(b.first, b.forced) for b in batches if b.stage == 2]
+            firsts = [s for s, _ in groupby(two, key=itemgetter(0))]
+            assert firsts == sorted(set(firsts), key=order.get), (r, p)
+            for s in firsts:
+                sizes = [len(a) for first, a in two if first == s]
+                assert sizes == sorted(sizes), (r, p, s)
+    # but |A| may drop from one S to the next
+    two = [(b.first, b.forced) for b in collapse_pair(RoundCounter.of(1, 1, 1, 1), 0).batches if b.stage == 2]
+    i = two.index(((0, 1, 2), (2,)))
+    assert two[i + 1] == ((0, 1, 3), ())
 
 
 def test_collapse_to_point_examples():

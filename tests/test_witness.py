@@ -115,6 +115,17 @@ def test_trace_form_validation():
     for active, traces in (({-1}, {-1: {0}}), ({0}, {0: {0, 1.5}}), ({0}, {0: {0, True}}), ({True}, {True: {0}})):
         with pytest.raises(InvalidArgument):
             trace_form(active, (), traces)
+    # a shape that is not collections of ids and a mapping of traces
+    for active, ghosts, traces in (
+        ([0], [], {0: 5}),  # a trace that is not a collection
+        (5, [], {}),  # an active set that is not a collection
+        ([], 5, {}),  # a ghost set that is not a collection
+        ([0], [], [0]),  # traces in a list, not a mapping
+        ([1], [], [1]),  # the same, where indexing the list would run off its end
+        ([0], [], {0}),  # traces in a set
+    ):
+        with pytest.raises(InvalidArgument):
+            trace_form(active, ghosts, traces)
 
 
 MALFORMED = [
